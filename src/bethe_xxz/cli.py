@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 from .dispatch import solve_quantum_pair
@@ -276,6 +277,8 @@ def cmd_verify(args):
         matched = len(exc.match.entries) if exc.match else 0
         dim = exc.match.dimension if exc.match else "?"
         print(f"{matched}/{dim} matched; INCOMPLETE: {exc}")
+        if exc.match is not None and exc.match.unsolved:
+            return EXIT_PARTIAL
         return EXIT_INCOMPLETE
     print(
         f"{len(match.entries)}/{match.dimension} matched; "
@@ -394,10 +397,16 @@ def _build_parser():
     common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
+    def labels(sp):
+        sp.add_argument("--j1", type=HalfInt.parse, default=None)
+        sp.add_argument("--j2", type=HalfInt.parse, default=None)
+        # argparse reads `-7/2` as an option unless its negative-number
+        # pattern matches; widened to fractions, `--j1 -7/2` parses too.
+        sp._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     sp = sub.add_parser("solve", help="solve one labelled pair")
     common(sp)
-    sp.add_argument("--j1", type=HalfInt.parse, default=None)
-    sp.add_argument("--j2", type=HalfInt.parse, default=None)
+    labels(sp)
     sp.add_argument("--tol-defect", type=float, default=None)
     sp.set_defaults(func=cmd_solve)
 
@@ -421,8 +430,7 @@ def _build_parser():
 
     sp = sub.add_parser("xxx-trace", help="reduced-rapidity divergence trace")
     common(sp, zeta=False)
-    sp.add_argument("--j1", type=HalfInt.parse, default=None)
-    sp.add_argument("--j2", type=HalfInt.parse, default=None)
+    labels(sp)
     sp.add_argument("--zeta-schedule", required=True)
     sp.set_defaults(func=cmd_xxx_trace)
 

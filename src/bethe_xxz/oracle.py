@@ -5,7 +5,8 @@ diagonalize exactly.  Every solved rapidity pair is turned into a
 coordinate-ansatz wavefunction; its Rayleigh quotient must both be an
 eigenvalue of the sector Hamiltonian and leave a tiny eigen-residual.
 Matching the full multiset of energies against the exact spectrum is the
-completeness check.
+completeness check.  Only the eigenvalues need the dense matrix; vectors
+are assembled and multiplied by H in O(dim) through a neighbour stencil.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .dispatch import solve_quantum_pair
 from .model import (
+    BetheError,
     ChainParams,
     DimensionOverflow,
     IncompleteSpectrum,
@@ -28,7 +30,10 @@ from .model import (
 )
 from .quantum_numbers import enumerate_all
 
-DEFAULT_MAX_DIM = 10**6
+# exact_spectrum diagonalizes the dense float64 matrix, dim^2 * 8 bytes; it
+# is the only dense consumer, so the cap bounds those bytes (dim <= 11585).
+MAX_DENSE_BYTES = 2**30
+DEFAULT_MAX_DIM = math.isqrt(MAX_DENSE_BYTES // 8)
 NORM_TOL = 1e-10
 ENERGY_RTOL = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -39,18 +44,36 @@ SINGULAR_EPS = 1e-6
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Dense Hamiltonian restricted to two down-spins on a periodic chain."""
+    """Hamiltonian restricted to two down-spins on a periodic chain.
+
+    `diagonal` and `hops` are the neighbour stencil: row k of `hops` holds
+    the basis indices reached by one hop of amplitude 1/2, padded with
+    `dimension` where a hop is blocked.  `matrix` is the same operator,
+    dense.
+    """
 
     n: int
     delta: float
     dimension: int
     basis: tuple  # ordered (x1, x2) with x1 < x2
     matrix: np.ndarray
+    diagonal: np.ndarray
+    hops: np.ndarray
+
+    def apply(self, v):
+        """H v through the stencil, in O(dim)."""
+        # A padding zero absorbs the blocked hops, which point at `dimension`.
+        padded = np.append(v, 0.0)
+        return self.diagonal * v + 0.5 * padded[self.hops].sum(axis=1)
 
 
 @dataclass(frozen=True)
 class BetheVector:
-    """Normalized coordinate-ansatz amplitudes over the sector basis."""
+    """Normalized coordinate-ansatz amplitudes over the sector basis.
+
+    `norm` is taken before normalizing, with the largest plane-wave term
+    scaled to modulus 1.
+    """
 
     amplitudes: np.ndarray
     norm: float
@@ -73,37 +96,54 @@ class SpectrumMatch:
     entries: tuple
     max_energy_error: float
     max_residual: float
+    unsolved: tuple  # (QuantumPair, BetheError) for pairs with no vector
+
+
+def _index(n, x1, x2):
+    """Position of |x1 < x2> in the basis order of np.triu_indices(n, 1)."""
+    return x1 * (2 * n - x1 - 1) // 2 + x2 - x1 - 1
 
 
 def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
-    """Dense sector Hamiltonian over basis states |x1 < x2>."""
+    """Sector Hamiltonian over basis states |x1 < x2>, as a stencil and dense.
+
+    Each state hops to at most four neighbours, so H v is an O(dim) stencil
+    apply; the dense matrix is derived from the same stencil for
+    exact_spectrum.
+    """
     n = p.n
     dim = n * (n - 1) // 2
     if dim > max_dim:
-        raise DimensionOverflow(f"sector dimension {dim} exceeds cap {max_dim}")
-    basis = [(x1, x2) for x1 in range(n) for x2 in range(x1 + 1, n)]
-    index = {conf: k for k, conf in enumerate(basis)}
-    delta = p.delta
-    h = np.zeros((dim, dim))
-    for k, (x1, x2) in enumerate(basis):
-        down = {x1, x2}
-        # Diagonal: each bond with anti-aligned spins contributes -delta/2
-        # (the aligned ones cancel against the identity shift).
-        anti = sum(
-            1 for j in range(n) if ((j in down) != ((j + 1) % n in down))
+        raise DimensionOverflow(
+            f"sector dimension {dim} exceeds cap {max_dim}: its dense "
+            f"matrix would take {dim * dim * 8} bytes"
         )
-        h[k, k] = -0.5 * delta * anti
-        # Hopping: amplitude 1/2 for moving one down-spin across a bond.
-        for x in (x1, x2):
-            other = x2 if x == x1 else x1
-            for step in (1, -1):
-                y = (x + step) % n
-                if y in down:
-                    continue
-                conf = (min(y, other), max(y, other))
-                h[index[conf], k] += 0.5
+    x1, x2 = np.triu_indices(n, 1)
+    delta = p.delta
+    # Each bond with anti-aligned spins contributes -delta/2 (the aligned
+    # ones cancel against the identity shift): adjacent down-spins touch two
+    # such bonds, separated ones four.
+    adjacent = (x2 - x1 == 1) | (x2 - x1 == n - 1)
+    diagonal = np.where(adjacent, -delta, -2.0 * delta)
+    # Hopping: amplitude 1/2 for moving one down-spin across a bond, blocked
+    # when the target site holds the other one.
+    a = np.stack([(x1 + 1) % n, (x1 - 1) % n, x1, x1], axis=1)
+    b = np.stack([x2, x2, (x2 + 1) % n, (x2 - 1) % n], axis=1)
+    hops = np.where(
+        a == b, dim, _index(n, np.minimum(a, b), np.maximum(a, b))
+    )
+    rows = np.broadcast_to(np.arange(dim)[:, None], hops.shape)
+    open_ = hops < dim
+    h = np.diag(diagonal)
+    np.add.at(h, (rows[open_], hops[open_]), 0.5)
     return SectorHamiltonian(
-        n=n, delta=delta, dimension=dim, basis=tuple(basis), matrix=h
+        n=n,
+        delta=delta,
+        dimension=dim,
+        basis=tuple(zip(x1.tolist(), x2.tolist())),
+        matrix=h,
+        diagonal=diagonal,
+        hops=hops,
     )
 
 
@@ -114,7 +154,10 @@ def exact_spectrum(ham: SectorHamiltonian):
 
 def _momentum(lam, p: ChainParams):
     hz = 0.5j * p.zeta
-    return -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
+    num, den = cmath.sin(lam + hz), cmath.sin(lam - hz)
+    if num == 0 or den == 0:
+        raise ZeroVector(f"rapidity {lam!r} sits on a pole, +-i zeta/2")
+    return -1j * cmath.log(num / den)
 
 
 def bethe_vector(pair: RapidityPair, p: ChainParams):
@@ -130,19 +173,15 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
     # S = e^{i p1 N} by periodicity).
     num = e12 - 2.0 * delta * e2 + 1.0
     den = e12 - 2.0 * delta * e1 + 1.0
-    if abs(den) < 1e-300:
-        raise ZeroVector("scattering amplitude denominator vanished")
-    s = -num / den
-    n = p.n
-    amplitudes = np.empty(n * (n - 1) // 2, dtype=complex)
-    k = 0
-    for x1 in range(n):
-        a1, b1 = cmath.exp(1j * p1 * x1), cmath.exp(1j * p2 * x1)
-        for x2 in range(x1 + 1, n):
-            amplitudes[k] = a1 * cmath.exp(1j * p2 * x2) + s * b1 * cmath.exp(
-                1j * p1 * x2
-            )
-            k += 1
+    if abs(den) < 1e-300 or num == 0:
+        raise ZeroVector("scattering amplitude vanished or diverged")
+    x1, x2 = np.triu_indices(p.n, 1)
+    direct = 1j * (p1 * x1 + p2 * x2)
+    exchanged = 1j * (p2 * x1 + p1 * x2) + (cmath.log(-num) - cmath.log(den))
+    # Complex momenta make the plane waves span an exponential range; one
+    # common shift puts the largest term at modulus 1 before exponentiating.
+    shift = max(direct.real.max(), exchanged.real.max())
+    amplitudes = np.exp(direct - shift) + np.exp(exchanged - shift)
     norm = float(np.linalg.norm(amplitudes))
     if norm < NORM_TOL:
         raise ZeroVector(
@@ -153,9 +192,10 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
 
 def rayleigh_energy(vec: BetheVector, ham: SectorHamiltonian):
     """Rayleigh quotient and relative eigen-residual of a unit vector."""
-    hv = ham.matrix @ vec.amplitudes
-    energy = float(np.real(np.vdot(vec.amplitudes, hv)))
-    residual = float(np.linalg.norm(hv - energy * vec.amplitudes))
+    v = vec.amplitudes
+    hv = ham.apply(v)
+    energy = float(np.real(np.vdot(v, hv)))
+    residual = float(np.linalg.norm(hv - energy * v))
     return energy, residual
 
 
@@ -167,8 +207,12 @@ def regularized_singular_pair(p: ChainParams, eps=SINGULAR_EPS):
     product-form equation to second order in eps.
     """
     hz = 0.5j * p.zeta
-    big_r = (cmath.sin(2.0 * hz + eps) / cmath.sin(eps)) ** p.n
-    d = cmath.atan(cmath.sin(4.0 * hz) / (big_r - cmath.cos(4.0 * hz)))
+    # 1/R with R = (sin(i zeta + eps) / sin eps)^N: R overflows at large
+    # N zeta, while 1/R underflows harmlessly to zero.
+    inv_r = (cmath.sin(eps) / cmath.sin(2.0 * hz + eps)) ** p.n
+    d = cmath.atan(
+        cmath.sin(4.0 * hz) * inv_r / (1.0 - cmath.cos(4.0 * hz) * inv_r)
+    )
     lam1 = hz + eps
     lam2 = -hz + eps - d
     return RapidityPair(
@@ -190,11 +234,11 @@ def singular_vector(ham: SectorHamiltonian):
     cannot reach small residuals in double precision, although its Rayleigh
     energy does converge and is cross-checked against this vector's.
     """
-    index = {conf: k for k, conf in enumerate(ham.basis)}
+    n = ham.n
+    x = np.arange(n - 1)
     amplitudes = np.zeros(ham.dimension, dtype=complex)
-    for x in range(ham.n - 1):
-        amplitudes[index[(x, x + 1)]] = (-1.0) ** x
-    amplitudes[index[(0, ham.n - 1)]] = -1.0
+    amplitudes[_index(n, x, x + 1)] = (-1.0) ** x
+    amplitudes[_index(n, 0, n - 1)] = -1.0
     norm = float(np.linalg.norm(amplitudes))
     return BetheVector(amplitudes=amplitudes / norm, norm=norm)
 
@@ -210,36 +254,49 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
 
     Greedy nearest-value matching over the sorted exact spectrum, each
     eigenvalue usable once; degenerate eigenvalues are therefore matched as
-    a multiset.  Raises IncompleteSpectrum (with the partial match attached)
-    on any unmatched eigenvalue, oversize energy error, or oversize
-    eigen-residual.
+    a multiset.  A pair whose solve or vector raises BetheError is recorded
+    as unsolved and the others are still matched.  Raises IncompleteSpectrum
+    (with the partial match attached) on any unsolved pair, unmatched
+    eigenvalue, oversize energy error, or oversize eigen-residual.
     """
     ham = build_hamiltonian(p, max_dim=max_dim)
-    spectrum = list(exact_spectrum(ham))
-    available = spectrum[:]
-    pairs = enumerate_all(p)
+    available = list(exact_spectrum(ham))
     solved = []
+    unsolved = []
     failures = []
-    for q in pairs:
-        rap = solve_quantum_pair(q, p)
-        if q.cls is SolutionClass.SINGULAR:
-            vec = singular_vector(ham)
-            energy, residual = rayleigh_energy(vec, ham)
-            # Cross-check: the regularized coordinate assembly must agree on
-            # the energy even though its eigen-residual is uninformative.
-            reg_vec = bethe_vector(regularized_singular_pair(p), p)
-            reg_energy, _ = rayleigh_energy(reg_vec, ham)
-            if abs(reg_energy - energy) > SINGULAR_ENERGY_RTOL * max(
-                1.0, abs(energy)
-            ):
-                failures.append(
-                    f"regularized singular energy {reg_energy!r} "
-                    f"disagrees with {energy!r}"
-                )
-        else:
-            vec = bethe_vector(rap, p)
-            energy, residual = rayleigh_energy(vec, ham)
+    for q in enumerate_all(p):
+        try:
+            rap = solve_quantum_pair(q, p)
+            if q.cls is SolutionClass.SINGULAR:
+                vec = singular_vector(ham)
+                energy, residual = rayleigh_energy(vec, ham)
+                # Cross-check: the regularized coordinate assembly must agree
+                # on the energy even though its eigen-residual is
+                # uninformative.
+                reg_vec = bethe_vector(regularized_singular_pair(p), p)
+                reg_energy, _ = rayleigh_energy(reg_vec, ham)
+                if abs(reg_energy - energy) > SINGULAR_ENERGY_RTOL * max(
+                    1.0, abs(energy)
+                ):
+                    failures.append(
+                        f"regularized singular energy {reg_energy!r} "
+                        f"disagrees with {energy!r}"
+                    )
+            else:
+                vec = bethe_vector(rap, p)
+                energy, residual = rayleigh_energy(vec, ham)
+        except BetheError as exc:
+            unsolved.append((q, exc))
+            continue
         solved.append((q, rap, energy, residual))
+    if unsolved:
+        failures.append(
+            f"{len(unsolved)} pairs unsolved: "
+            + ", ".join(
+                f"({q.j1},{q.j2}) {q.cls.value} {type(exc).__name__}"
+                for q, exc in unsolved
+            )
+        )
 
     entries = []
     max_err = max_res = 0.0
@@ -280,6 +337,7 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
         entries=tuple(entries),
         max_energy_error=max_err,
         max_residual=max_res,
+        unsolved=tuple(unsolved),
     )
     if available:
         failures.append(f"{len(available)} eigenvalues left unmatched")

@@ -85,6 +85,20 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--n", "8", "--zeta", "0.6")
         assert code == 2
 
+    def test_negative_labels_after_a_space(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", "--n", "8", "--zeta", "0.6",
+            "--j1", "-7/2", "--j2", "-5/2",
+        )
+        assert code == 0
+        classes = {r["class"] for r in json.loads(out)["records"]}
+        assert classes == {"infinite_family_real", "wide_pair_complex"}
+        _, joined, _ = run(
+            capsys, "solve", "--n", "8", "--zeta", "0.6",
+            "--j1=-7/2", "--j2=-5/2",
+        )
+        assert joined == out
+
 
 class TestSolveAll:
     def test_complete_inventory(self, capsys):
@@ -132,6 +146,25 @@ class TestVerify:
         )
         assert code == 2
         assert "exceeds" in err
+        assert "bytes" in err
+
+    def test_solver_failure_exits_partial(self, capsys):
+        # The narrow pairs (+-9/2, +-9/2) find no root at (16, 0.6); the
+        # other 118 pairs are still matched.
+        code, out, err = run(capsys, "verify", "--n", "16", "--zeta", "0.6")
+        assert code == 4
+        assert out.startswith("118/120 matched; INCOMPLETE: 2 pairs unsolved")
+        assert "NoRootOnBranch" in out
+        assert "Traceback" not in err
+
+    def test_spectrum_mismatch_exits_incomplete(self, capsys, monkeypatch):
+        from bethe_xxz import oracle
+
+        monkeypatch.setattr(oracle, "RESIDUAL_TOL", 0.0)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--zeta", "0.6")
+        assert code == 5
+        assert out.startswith("28/28 matched; INCOMPLETE:")
+        assert "eigen-residual" in out
 
 
 class TestRegimeMap:

@@ -1,15 +1,22 @@
 """Exact-diagonalization oracle: Hamiltonian, wavefunctions, completeness."""
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bethe_xxz.dispatch import solve_quantum_pair
 from bethe_xxz.model import (
     ChainParams,
     DimensionOverflow,
     HalfInt,
+    IncompleteSpectrum,
     QuantumPair,
+    RapidityPair,
     SolutionClass,
+    ZeroVector,
     magnon_energy,
 )
 from bethe_xxz.height_solver import solve_pair
@@ -48,10 +55,37 @@ class TestHamiltonian:
         assert ham.matrix[idx[(0, 1)], idx[(0, 2)]] == pytest.approx(0.5)
         # (0, 1) and (2, 3) share no single-hop move.
         assert ham.matrix[idx[(0, 1)], idx[(2, 3)]] == 0.0
+        # The whole matrix, in basis order (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+        d = p.delta
+        expected = [
+            [-d, 0.5, 0.0, 0.0, 0.5, 0.0],
+            [0.5, -2 * d, 0.5, 0.5, 0.0, 0.5],
+            [0.0, 0.5, -d, 0.0, 0.5, 0.0],
+            [0.0, 0.5, 0.0, -d, 0.5, 0.0],
+            [0.5, 0.0, 0.5, 0.5, -2 * d, 0.5],
+            [0.0, 0.5, 0.0, 0.0, 0.5, -d],
+        ]
+        assert np.array_equal(ham.matrix, np.array(expected))
 
     def test_symmetric(self):
-        ham = build_hamiltonian(P86)
-        assert np.allclose(ham.matrix, ham.matrix.T)
+        for n in (4, 8, 14):
+            ham = build_hamiltonian(ChainParams(n, 0.6))
+            assert np.array_equal(ham.matrix, ham.matrix.T), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_n=st.integers(2, 10),
+        zeta=st.floats(1e-3, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stencil_apply_equals_dense_matvec(self, half_n, zeta, seed):
+        ham = build_hamiltonian(ChainParams(2 * half_n, zeta))
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=ham.dimension) + 1j * rng.normal(
+            size=ham.dimension
+        )
+        v /= np.linalg.norm(v)
+        assert np.max(np.abs(ham.apply(v) - ham.matrix @ v)) <= 1e-13
 
     def test_spectrum_sorted_with_matching_trace(self):
         ham = build_hamiltonian(P86)
@@ -65,8 +99,61 @@ class TestHamiltonian:
         with pytest.raises(DimensionOverflow):
             build_hamiltonian(P86, max_dim=10)
 
+    def test_default_cap_bounds_dense_bytes(self):
+        # N = 200 has dim 19 900: a 3.2 GB dense matrix, refused up front.
+        with pytest.raises(DimensionOverflow, match="3168080000 bytes"):
+            build_hamiltonian(ChainParams(200, 1.0))
+
+
+def _reference_amplitudes(pair, p):
+    """Unshifted assembly, one plane-wave product per basis state."""
+    hz = 0.5j * p.zeta
+
+    def momentum(lam):
+        return -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
+
+    p1, p2 = momentum(pair.lambda1), momentum(pair.lambda2)
+    e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
+    s = -(e1 * e2 - 2.0 * p.delta * e2 + 1.0) / (
+        e1 * e2 - 2.0 * p.delta * e1 + 1.0
+    )
+    amplitudes = []
+    for x1 in range(p.n):
+        for x2 in range(x1 + 1, p.n):
+            amplitudes.append(
+                cmath.exp(1j * (p1 * x1 + p2 * x2))
+                + s * cmath.exp(1j * (p2 * x1 + p1 * x2))
+            )
+    return np.array(amplitudes)
+
 
 class TestBetheVector:
+    @pytest.mark.parametrize(
+        "n,j1,j2,cls",
+        [
+            (8, "-5/2", "-3/2", SolutionClass.STANDARD_REAL),
+            (8, "5/2", "5/2", SolutionClass.NARROW_PAIR_COMPLEX),
+            (8, "5/2", "7/2", SolutionClass.WIDE_PAIR_COMPLEX),
+            (16, "-13/2", "-9/2", SolutionClass.STANDARD_REAL),
+            (16, "-11/2", "-11/2", SolutionClass.NARROW_PAIR_COMPLEX),
+            (16, "-13/2", "-11/2", SolutionClass.WIDE_PAIR_COMPLEX),
+        ],
+    )
+    def test_same_ray_as_reference_loop(self, n, j1, j2, cls):
+        p = ChainParams(n, 0.6)
+        q = QuantumPair(HalfInt.parse(j1), HalfInt.parse(j2), cls)
+        sol = solve_quantum_pair(q, p)
+        a = bethe_vector(sol, p).amplitudes
+        b = _reference_amplitudes(sol, p)
+        assert abs(abs(np.vdot(a, b)) / np.linalg.norm(b) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_singular_rapidity_is_zero_vector(self, sign):
+        hz = 0.5j * P86.zeta
+        pair = RapidityPair(sign * hz, 0.3, None, 0)
+        with pytest.raises(ZeroVector):
+            bethe_vector(pair, P86)
+
     def _solved(self):
         q = QuantumPair(HalfInt(1), HalfInt(3), SolutionClass.STANDARD_REAL)
         return solve_pair(q, P86)
@@ -110,11 +197,15 @@ class TestSingularState:
     def test_regularized_pair_energy_converges(self):
         # The displaced pair's amplitudes span a dynamic range of
         # eps^-(N-2), so its eigen-residual is uninformative, but the
-        # Rayleigh energy still lands on -Delta.
-        ham = build_hamiltonian(P86)
-        vec = bethe_vector(regularized_singular_pair(P86), P86)
-        energy, _ = rayleigh_energy(vec, ham)
-        assert energy == pytest.approx(-P86.delta, abs=1e-6)
+        # Rayleigh energy still lands on -Delta.  At large N zeta both the
+        # displacement and the amplitudes would overflow unless formed from
+        # 1/R and shifted exponents.
+        for n, zeta in [(8, 0.6), (16, 0.6), (48, 0.3), (48, 2.0), (100, 1.0)]:
+            p = ChainParams(n, zeta)
+            ham = build_hamiltonian(p)
+            vec = bethe_vector(regularized_singular_pair(p), p)
+            energy, _ = rayleigh_energy(vec, ham)
+            assert energy == pytest.approx(-p.delta, rel=1e-14), (n, zeta)
 
 
 class TestCompleteness:
@@ -130,3 +221,18 @@ class TestCompleteness:
         spec = sorted(exact_spectrum(build_hamiltonian(P86)))
         used = sorted(e.ed_energy for e in match.entries)
         assert np.allclose(used, spec)
+
+    def test_unsolved_pairs_reported_and_rest_matched(self):
+        # At (16, 0.6) the narrow pairs (+-9/2, +-9/2) have no root on the
+        # narrow branch; every other pair still solves and matches.
+        p = ChainParams(16, 0.6)
+        with pytest.raises(IncompleteSpectrum) as info:
+            completeness_check(p)
+        match = info.value.match
+        assert sorted((str(q.j1), str(q.j2)) for q, _ in match.unsolved) == [
+            ("-9/2", "-9/2"), ("9/2", "9/2")
+        ]
+        assert len(match.entries) == 118
+        assert match.max_energy_error < 1e-6
+        assert match.max_residual < 1e-8
+        assert "2 pairs unsolved" in str(info.value)
