@@ -164,19 +164,6 @@ def _solution_record(q: QuantumPair, p: ChainParams, tol):
     return record, True
 
 
-def _solve_records(pairs, p, tol, jobs):
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda q: _solution_record(q, p, tol), pairs)
-            )
-    else:
-        results = [_solution_record(q, p, tol) for q in pairs]
-    return results
-
-
 def cmd_enumerate(args):
     p = _chain_params(args)
     try:
@@ -215,7 +202,7 @@ def cmd_solve(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
-    results = _solve_records(matched, p, args.tol_defect, args.jobs)
+    results = [_solution_record(q, p, args.tol_defect) for q in matched]
     records = [r for r, _ in results]
     all_ok = all(ok for _, ok in results)
     payload = {
@@ -237,7 +224,7 @@ def cmd_solve_all(args):
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    results = _solve_records(pairs, p, args.tol_defect, args.jobs)
+    results = [_solution_record(q, p, args.tol_defect) for q in pairs]
     order = sorted(
         range(len(pairs)),
         key=lambda i: (pairs[i].j1.twice, pairs[i].j2.twice, pairs[i].cls.value),
@@ -391,7 +378,6 @@ def _build_parser():
             sp.add_argument("--zeta", type=float, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None)
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("enumerate", help="list all quantum-number pairs")
     common(sp)
@@ -425,7 +411,6 @@ def _build_parser():
     sp.add_argument("--zeta-grid", required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output", default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_regime_map)
 
     sp = sub.add_parser("xxx-trace", help="reduced-rapidity divergence trace")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .model import (
     ChainParams,
@@ -31,16 +30,6 @@ DEFAULT_DEFECT_TOL = 1e-10
 DENOMINATOR_TOL = 1e-13
 PHI_MIN = 1e-9
 GRID_POINTS = 2048
-
-
-@dataclass(frozen=True)
-class CenterDeviation:
-    """String center and deviation of an equal-quantum-number real pair."""
-
-    x: float
-    gamma: float
-    phi: float
-    n: int = 0
 
 
 def _phase_parts(phi, n, p: ChainParams):

@@ -8,9 +8,11 @@ increasing, so each quantum-number target is found by a bracketed bisection.
 """
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .model import (
     ChainParams,
@@ -32,26 +34,17 @@ NARROW_W_MIN = 1e-6
 NARROW_W_MAX = 1.0 - 1e-9
 WIDE_W_MIN = 1.0 + 1e-9
 WIDE_CAP_MARGIN = 1.0 - 1e-12
+# Grid points whose N*Z1 - J lies this close to zero also open a candidate
+# bracket: the grid evaluation agrees with the scalar one only to rounding,
+# so its sign is not trusted there.
+SIGN_GUARD = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 class Branch(Enum):
     NARROW = "narrow"
     WIDE = "wide"
-
-
-@dataclass(frozen=True)
-class ComplexBranchState:
-    """String parameters of a complex conjugate pair.
-
-    w parameterizes the deviation delta through
-    w = tanh(zeta/2 + delta)/tanh(zeta/2); the pair itself is
-    lambda1 = x + i(zeta/2 + delta), lambda2 = conj(lambda1).
-    """
-
-    w: float
-    delta: float
-    x: float
-    branch: Branch
 
 
 def delta_of_w(w, p: ChainParams):
@@ -142,41 +135,110 @@ def z1(w, p: ChainParams):
     )
 
 
-def _branch_grid(branch: Branch, p: ChainParams):
+def _tan2x_grid(w, p: ChainParams):
+    """tan2x_of_w over an array of w; NaN where the scalar code raises."""
+    t2 = p.t * p.t
+    wt2 = w * t2
+    w2t2 = w * w * t2
+    log_r1_num = np.where(
+        w < 1.0, np.log1p(-w), np.log(w - 1.0)
+    ) + np.log1p(-wt2)
+    log_r2_num = np.log1p(w) + np.log1p(wt2)
+    d = (2.0 / p.n) * (log_r1_num - log_r2_num)
+    r2 = np.exp((2.0 / p.n) * (log_r2_num - np.log1p(w2t2)))
+    em = np.expm1(d)
+    a = w * w * r2 * ((1.0 + wt2) ** 2 * em + 4.0 * w * t2)
+    p_b = (1.0 - w * wt2) ** 2 / t2 + 2.0 * w * (1.0 + w) * (1.0 + wt2)
+    b = r2 * (p_b * em + 4.0 * w * (1.0 + w2t2))
+    c = r2 * ((1.0 + w) ** 2 * em + 4.0 * w)
+    root = np.sqrt(b * b - 4.0 * a * c)
+    value = np.where(b > 0.0, (-b - root) / (2.0 * a), (2.0 * c) / (-b + root))
+    value[value < 0.0] = np.nan
+    return value
+
+
+def n_z1_grid(w, p: ChainParams):
+    """N*Z1 over an array of w; NaN where the scalar z1 raises.
+
+    Repeats _quadratic_coeffs, tan2x_of_w and z1 operation for operation,
+    so each entry agrees with p.n * z1(w, p) to rounding.  A point is NaN
+    exactly where the scalar code raises NegativeDiscriminant or
+    NegativeTanSquare.
+    """
+    t = p.t
+    t2 = t * t
+    with np.errstate(all="ignore"):
+        tan2 = _tan2x_grid(w, p)
+        den = 1.0 + tan2 * w * w * t2
+        a = np.sqrt(tan2) * (1.0 - w * w * t2) / (t * den)
+        b = (1.0 + tan2) * w / den
+        delta = np.arctanh(w * t) - 0.5 * p.zeta
+        z = (
+            (0.5 / math.pi) * np.arctan(a / (1.0 - b))
+            + (0.5 / math.pi) * np.arctan(a / (1.0 + b))
+            + 0.5 * ((b - 1.0 > 0.0) + 2.0 * ((1.0 - b > 0.0) & (-a > 0.0)))
+            - 0.5 * (delta > 0.0) / p.n
+        )
+    return p.n * z
+
+
+def branch_grid(branch: Branch, p: ChainParams):
+    """The GRID_POINTS geometric w grid scanned on a branch, lo to hi."""
     lo, hi = (
         (NARROW_W_MIN, NARROW_W_MAX)
         if branch is Branch.NARROW
         else (WIDE_W_MIN, wide_w_cap(p))
     )
-    ratio = (hi / lo) ** (1.0 / (GRID_POINTS - 1))
-    return lo, hi, ratio
+    factors = np.full(GRID_POINTS, (hi / lo) ** (1.0 / (GRID_POINTS - 1)))
+    factors[0] = lo
+    return np.minimum(np.multiply.accumulate(factors), hi)
 
 
 def _solve_on_branch(target_j: float, branch: Branch, p: ChainParams):
-    """Bisect N*Z1 = target_j on the requested branch; returns w."""
+    """Bisect N*Z1 = target_j on the requested branch; returns w.
+
+    One vectorised pass over the branch grid finds the candidate brackets:
+    consecutive valid points where N*Z1 - target_j changes sign (or is
+    within SIGN_GUARD of zero).  Each is re-evaluated with the scalar z1
+    and bisected in grid order; the first root that is not a jump of the
+    counting function is returned.
+    """
 
     def shifted(w):
         return p.n * z1(w, p) - target_j
 
-    lo, hi, ratio = _branch_grid(branch, p)
-    prev_w = prev_val = None
-    w = lo
-    for _ in range(GRID_POINTS):
+    grid = branch_grid(branch, p)
+    v = n_z1_grid(grid, p) - target_j
+    near = np.abs(v) <= SIGN_GUARD
+    flagged = (v[:-1] * v[1:] <= 0.0) | (
+        (near[:-1] | near[1:]) & np.isfinite(v[:-1] + v[1:])
+    )
+    brackets = [
+        (float(grid[k]), float(grid[k + 1])) for k in np.flatnonzero(flagged)
+    ]
+    jumps = []
+    for w_lo, w_hi in brackets:
         try:
-            val = shifted(w)
+            f_lo, f_hi = shifted(w_lo), shifted(w_hi)
         except (NegativeDiscriminant, NegativeTanSquare):
-            prev_w = prev_val = None
-            w = min(w * ratio, hi)
             continue
-        if prev_val is not None and prev_val * val <= 0.0:
-            root, _ = bisect_monotone(
-                shifted, prev_w, w, f_lo=prev_val, f_hi=val,
-                xtol=1e-16, max_iter=200,
+        if f_lo * f_hi > 0.0:
+            continue
+        root, _ = bisect_monotone(
+            shifted, w_lo, w_hi, f_lo=f_lo, f_hi=f_hi,
+            xtol=1e-16, max_iter=200,
+        )
+        if abs(shifted(root)) < 1e-6:
+            log.debug(
+                "%s branch, J=%r: brackets %s, jumps %s, root w=%r",
+                branch.value, target_j, brackets, jumps, root,
             )
-            if abs(shifted(root)) < 1e-6:
-                return root
-        prev_w, prev_val = w, val
-        w = min(w * ratio, hi)
+            return root
+        jumps.append((w_lo, w_hi))
+    log.debug(
+        "%s branch, J=%r: brackets %s, jumps %s, no root",
+        branch.value, target_j, brackets, jumps,
+    )
     raise NoRootOnBranch(
         f"N*Z1 never attains {target_j!r} on the {branch.value} branch "
         f"(N={p.n}, zeta={p.zeta})"

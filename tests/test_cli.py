@@ -1,5 +1,8 @@
 """Command-line surface: formats, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,25 @@ class TestSolve:
         assert joined == out
 
 
+    def test_debug_log_goes_to_stderr_only(self):
+        argv = [
+            sys.executable, "-m", "bethe_xxz.cli", "solve", "--n", "8",
+            "--zeta", "0.6", "--j1", "5/2", "--j2", "5/2",
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "BETHE_TWO_LOG"}
+        quiet = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=60
+        )
+        loud = subprocess.run(
+            argv, capture_output=True, text=True, timeout=60,
+            env=dict(env, BETHE_TWO_LOG="DEBUG"),
+        )
+        assert quiet.returncode == loud.returncode == 0
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        assert "narrow branch, J=2.5: brackets [(" in loud.stderr
+
+
 class TestSolveAll:
     def test_complete_inventory(self, capsys):
         code, out, _ = run(
@@ -111,15 +133,11 @@ class TestSolveAll:
         assert len(lines) == 29
         assert all(",ok," in line for line in lines[1:])
 
-    def test_deterministic_across_jobs(self, capsys):
-        _, serial, _ = run(
-            capsys, "solve-all", "--n", "8", "--zeta", "0.6"
+    def test_jobs_option_removed(self, capsys):
+        code, _, _ = run(
+            capsys, "solve-all", "--n", "8", "--zeta", "0.6", "--jobs", "4"
         )
-        _, parallel, _ = run(
-            capsys, "solve-all", "--n", "8", "--zeta", "0.6",
-            "--jobs", "4",
-        )
-        assert serial == parallel
+        assert code == 2
 
     def test_sorted_by_labels(self, capsys):
         _, out, _ = run(capsys, "solve-all", "--n", "8", "--zeta", "0.6")

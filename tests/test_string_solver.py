@@ -1,21 +1,37 @@
 """Complex conjugate pairs, the edge-centered string, the singular pair."""
+import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethe_xxz.model import (
     ChainParams,
     HalfInt,
+    NegativeDiscriminant,
+    NegativeTanSquare,
     NoRootOnBranch,
     QuantumPair,
     SolutionClass,
+    bisect_monotone,
 )
+from bethe_xxz import string_solver
 from bethe_xxz.equal_solver import tan2x_limit
-from bethe_xxz.quantum_numbers import threshold_f
+from bethe_xxz.quantum_numbers import enumerate_all, threshold_f
 from bethe_xxz.string_solver import (
+    GRID_POINTS,
+    NARROW_W_MAX,
+    NARROW_W_MIN,
+    WIDE_W_MIN,
     Branch,
+    _BRANCH_BY_CLASS,
+    _solve_on_branch,
     boundary_string_halfwidth,
+    branch_grid,
     delta_of_w,
+    n_z1_grid,
     singular_quantum_numbers,
     singular_solution,
     solve_boundary_string,
@@ -144,6 +160,144 @@ def _branch_runs(branch, p, points=1000):
     if current:
         runs.append(current)
     return runs
+
+
+def _reference_bounds(branch, p):
+    if branch is Branch.NARROW:
+        lo, hi = NARROW_W_MIN, NARROW_W_MAX
+    else:
+        lo, hi = WIDE_W_MIN, wide_w_cap(p)
+    return lo, hi, (hi / lo) ** (1.0 / (GRID_POINTS - 1))
+
+
+def _reference_solve_on_branch(target_j, branch, p):
+    """The scalar scan-and-bisect loop that the vectorised scan replaced."""
+
+    def shifted(w):
+        return p.n * string_solver.z1(w, p) - target_j
+
+    lo, hi, ratio = _reference_bounds(branch, p)
+    prev_w = prev_val = None
+    w = lo
+    for _ in range(GRID_POINTS):
+        try:
+            val = shifted(w)
+        except (NegativeDiscriminant, NegativeTanSquare):
+            prev_w = prev_val = None
+            w = min(w * ratio, hi)
+            continue
+        if prev_val is not None and prev_val * val <= 0.0:
+            root, _ = bisect_monotone(
+                shifted, prev_w, w, f_lo=prev_val, f_hi=val,
+                xtol=1e-16, max_iter=200,
+            )
+            if abs(shifted(root)) < 1e-6:
+                return root
+        prev_w, prev_val = w, val
+        w = min(w * ratio, hi)
+    raise NoRootOnBranch(target_j)
+
+
+def _complex_targets(p):
+    """Distinct (branch, target) pairs that solve_complex scans for."""
+    return sorted(
+        {
+            (_BRANCH_BY_CLASS[q.cls], float(min(abs(q.j1), abs(q.j2))))
+            for q in enumerate_all(p)
+            if q.cls.is_complex
+        },
+        key=lambda item: (item[0].value, item[1]),
+    )
+
+
+def _outcome(solve, target, branch, p):
+    try:
+        return solve(target, branch, p)
+    except NoRootOnBranch:
+        return "no root"
+
+
+EQUIVALENCE_POINTS = [
+    (n, zeta)
+    for n in range(4, 50, 2)
+    for zeta in (1e-3, 0.05, 0.3, 0.6, 1.0, 2.0, 5.0)
+] + [(64, 0.3), (64, 2.0), (128, 0.3)]
+
+
+class TestVectorisedScan:
+    def test_grid_repeats_the_scalar_recurrence(self):
+        for p in (P86, ChainParams(128, 0.3), ChainParams(4, 5.0)):
+            for branch in Branch:
+                lo, hi, ratio = _reference_bounds(branch, p)
+                expected, w = [], lo
+                for _ in range(GRID_POINTS):
+                    expected.append(w)
+                    w = min(w * ratio, hi)
+                assert branch_grid(branch, p).tolist() == expected
+
+    @pytest.mark.parametrize("n,zeta", EQUIVALENCE_POINTS)
+    def test_same_root_as_scalar_scan(self, n, zeta):
+        # Same float, or NoRootOnBranch from both, for every complex target.
+        p = ChainParams(n, zeta)
+        for branch, target in _complex_targets(p):
+            assert _outcome(_solve_on_branch, target, branch, p) == _outcome(
+                _reference_solve_on_branch, target, branch, p
+            ), (branch, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        half_n=st.integers(2, 64),
+        zeta=st.floats(1e-3, 5.0),
+        position=st.floats(0.0, 1.0),
+        branch=st.sampled_from(Branch),
+    )
+    def test_grid_equals_scalar_counting_function(
+        self, half_n, zeta, position, branch
+    ):
+        p = ChainParams(2 * half_n, zeta)
+        lo, hi, _ = _reference_bounds(branch, p)
+        w = min(lo * (hi / lo) ** position, hi)
+        value = n_z1_grid(np.array([w]), p)[0]
+        try:
+            expected = p.n * z1(w, p)
+        except (NegativeDiscriminant, NegativeTanSquare):
+            assert not np.isfinite(value)
+            return
+        assert abs(value - expected) <= 1e-12
+
+    def test_jump_rejected_and_first_root_wins(self, monkeypatch, caplog):
+        # No enumerated target in the tested envelope meets more than one
+        # bracket, so a stand-in counting function exercises the rest: it
+        # jumps over 2 at w = 0.3, then crosses 2 at w = 0.8 and w = 0.95.
+        def counting(w):
+            return np.select([w < 0.3, w < 0.9], [1.0, 2.8 - w], 2.0 * w + 0.1)
+
+        monkeypatch.setattr(
+            string_solver, "z1", lambda w, p: float(counting(w)) / p.n
+        )
+        monkeypatch.setattr(
+            string_solver, "n_z1_grid", lambda w, p: counting(w)
+        )
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            root = _solve_on_branch(2.0, Branch.NARROW, P86)
+        assert root == _reference_solve_on_branch(2.0, Branch.NARROW, P86)
+        assert root == pytest.approx(0.8, abs=1e-12)
+        grid = branch_grid(Branch.NARROW, P86).tolist()
+        k = int(np.searchsorted(grid, 0.3))
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert f"jumps [{(grid[k - 1], grid[k])!r}], root w=" in message
+        assert message.count("), (") == 2  # three candidate brackets
+
+    def test_debug_log_names_brackets_and_outcome(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            _solve_on_branch(2.5, Branch.NARROW, P86)
+            with pytest.raises(NoRootOnBranch):
+                _solve_on_branch(0.5, Branch.WIDE, P86)
+        found, missed = [r.getMessage() for r in caplog.records]
+        assert found.startswith("narrow branch, J=2.5: brackets [(")
+        assert "jumps [], root w=" in found
+        assert missed.startswith("wide branch, J=0.5: brackets ")
+        assert missed.endswith("no root")
 
 
 class TestBoundaryString:
