@@ -23,7 +23,6 @@ from .model import (
     ToleranceNotReached,
     bae_defect,
     bisect_monotone,
-    gauss_floor,
 )
 
 DEFAULT_DEFECT_TOL = 1e-10
@@ -104,7 +103,7 @@ def counting_w(phi, p: ChainParams, sign_x=1):
     x = sign_x * math.atan(math.sqrt(t2))
     t = p.t
     total = math.atan(math.tan(x - phi) / t) + math.atan(math.tan(x + phi) / t)
-    gauss = gauss_floor((-4.0 * phi + math.pi) / (2.0 * math.pi))
+    gauss = math.floor((-4.0 * phi + math.pi) / (2.0 * math.pi))
     return (p.n / (2.0 * math.pi)) * total - sign_x * gauss
 
 

@@ -6,6 +6,8 @@ points.  Solving height(mu1) = j2 by bisection yields the full pair.
 """
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -20,11 +22,12 @@ from .model import (
     ToleranceNotReached,
     bae_defect,
     bisect_monotone,
-    gauss_floor,
 )
 
 DISCONTINUITY_TOL = 1e-13
 DEFAULT_DEFECT_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -49,28 +52,31 @@ def lambda_star(j1: HalfInt, p: ChainParams):
     return math.atan(p.t * math.tan(math.pi * half_turns))
 
 
-def _tan_ratio(mu1, p):
-    """tanh(zeta) / tan(N atan(tan(mu1)/t)), the recurring building block."""
-    inner = p.n * math.atan(math.tan(mu1) / p.t)
-    return math.tanh(p.zeta) / math.tan(inner)
+def _contour_maps(j1: HalfInt, p: ChainParams, target=0.0):
+    """mu2(mu1) and height(mu1) - target on the contour of j1.
 
-
-def mu2_of_mu1(mu1, j1: HalfInt, p: ChainParams):
-    """Second rapidity as a function of the first, on the branch of j1.
-
-    The closed form is label-free; j1 only identifies which contour mu1 is
-    expected to lie on (kept for error context).
+    The constants are bound once, so a bisection pays for one tan(mu1) and
+    no attribute lookups per step.  The closed form for mu2 is label-free;
+    j1 only identifies the contour mu1 is expected to lie on (kept for error
+    context).
     """
-    a = math.tan(mu1)
-    b = _tan_ratio(mu1, p)
-    if abs(b) <= 1.0:
-        den = a * b - 1.0
-        if abs(den) < DISCONTINUITY_TOL:
-            raise AtDiscontinuity(
-                f"mu1={mu1!r} sits at a discontinuity of the contour of {j1}"
-            )
-        value = -(b + a) / den
-    else:
+    n, t, th = p.n, p.t, math.tanh(p.zeta)
+    pi, two_pi = math.pi, 2.0 * math.pi
+    n_over_pi, inv_pi = n / math.pi, 1.0 / math.pi
+    tan, atan, floor = math.tan, math.atan, math.floor
+
+    def mu2_of(mu1):
+        a = tan(mu1)
+        # tanh(zeta) / tan(N atan(tan(mu1)/t)), the recurring building block.
+        b = th / tan(n * atan(a / t))
+        if abs(b) <= 1.0:
+            den = a * b - 1.0
+            if abs(den) < DISCONTINUITY_TOL:
+                raise AtDiscontinuity(
+                    f"mu1={mu1!r} sits at a discontinuity of the contour "
+                    f"of {j1}"
+                )
+            return atan(-(b + a) / den)
         # Rescale by 1/b to keep the evaluation stable when the inner tangent
         # is close to zero (b large) near the domain-window endpoints.
         inv = 1.0 / b
@@ -79,8 +85,24 @@ def mu2_of_mu1(mu1, j1: HalfInt, p: ChainParams):
             raise AtDiscontinuity(
                 f"mu1={mu1!r} sits at a discontinuity of the contour of {j1}"
             )
-        value = -(1.0 + a * inv) / den
-    return math.atan(value)
+        return atan(-(1.0 + a * inv) / den)
+
+    def shifted_height(mu1):
+        mu2 = mu2_of(mu1)
+        diff = mu2 - mu1
+        return (
+            n_over_pi * atan(tan(mu2) / t)
+            - inv_pi * atan(tan(diff) / th)
+            - floor((2.0 * diff + pi) / two_pi)
+            - target
+        )
+
+    return mu2_of, shifted_height
+
+
+def mu2_of_mu1(mu1, j1: HalfInt, p: ChainParams):
+    """Second rapidity as a function of the first, on the branch of j1."""
+    return _contour_maps(j1, p)[0](mu1)
 
 
 def diff_p(mu1, j1: HalfInt, p: ChainParams):
@@ -88,23 +110,28 @@ def diff_p(mu1, j1: HalfInt, p: ChainParams):
     return mu2_of_mu1(mu1, j1, p) - mu1
 
 
+@functools.lru_cache(maxsize=256)
 def discontinuity_k(j1: HalfInt, p: ChainParams):
     """Discontinuity abscissa for j1: the root of tan(mu1) * ratio = 1.
 
     Parameterized through theta = N atan(tan(mu1)/t) - pi (j1 - 1/2), which
     maps the window ((j1-1/2) pi/N, (j1+1/2) pi/N) of the inner angle onto
     (0, pi); the sign change always lies in (0, pi/2).
+
+    A pure function of (j1, N, zeta), memoized: a sector has at most
+    N/2 - 1 edges and every contour shares its two with its neighbours.
     """
     base = math.pi * (float(j1) - 0.5)
+    t = p.t
     th = math.tanh(p.zeta)
 
     def mu_of(theta):
-        return math.atan(p.t * math.tan((base + theta) / p.n))
+        return math.atan(t * math.tan((base + theta) / p.n))
 
-    def g(theta):
+    def g(theta, mu):
         # tan(base + theta) == tan(theta) since base is an integer multiple
         # of pi for half-odd j1.
-        return math.tan(mu_of(theta)) * th / math.tan(theta) - 1.0
+        return math.tan(mu) * th / math.tan(theta) - 1.0
 
     if float(j1) == 0.5:
         # In the lowest window tan(mu1) vanishes together with tan(theta),
@@ -114,18 +141,26 @@ def discontinuity_k(j1: HalfInt, p: ChainParams):
             f"the contour of j1={j1} has no left discontinuity (starts at 0)"
         )
     lo, hi = 1e-12, math.pi / 2.0 - 1e-12
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0.0 > g_hi):
+    mu_lo, mu_hi = mu_of(lo), mu_of(hi)
+    if not (g(lo, mu_lo) > 0.0 > g(hi, mu_hi)):
         raise NoRootInInterval(
             f"no discontinuity bracket for j1={j1} at N={p.n}, zeta={p.zeta}"
         )
-    while mu_of(hi) - mu_of(lo) > 1e-14 and hi - lo > 1e-15:
+    steps = 0
+    while mu_hi - mu_lo > 1e-14 and hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
+        mu_mid = mu_of(mid)
+        steps += 1
+        if g(mid, mu_mid) > 0.0:
+            lo, mu_lo = mid, mu_mid
         else:
-            hi = mid
-    return 0.5 * (mu_of(lo) + mu_of(hi))
+            hi, mu_hi = mid, mu_mid
+    k = 0.5 * (mu_lo + mu_hi)
+    log.debug(
+        "contour edge j1=%s N=%d zeta=%r: k=%r after %d bisection steps",
+        j1, p.n, p.zeta, k, steps,
+    )
+    return k
 
 
 def contour_bracket(j1: HalfInt, p: ChainParams):
@@ -146,13 +181,7 @@ def contour_bracket(j1: HalfInt, p: ChainParams):
 
 def height(mu1, j1: HalfInt, p: ChainParams):
     """Height function: equals j2 exactly when (mu1, mu2) solves both equations."""
-    mu2 = mu2_of_mu1(mu1, j1, p)
-    diff = mu2 - mu1
-    return (
-        (p.n / math.pi) * math.atan(math.tan(mu2) / p.t)
-        - (1.0 / math.pi) * math.atan(math.tan(diff) / math.tanh(p.zeta))
-        - gauss_floor((2.0 * diff + math.pi) / (2.0 * math.pi))
-    )
+    return _contour_maps(j1, p)[1](mu1)
 
 
 def _atan_scaled_derivative(u, c):
@@ -181,7 +210,7 @@ def _polish_log_form(l1, l2, j1: HalfInt, j2: HalfInt, p: ChainParams):
                 p.n * math.atan(math.tan(lam) / t)
                 - math.pi * float(j)
                 - math.atan(math.tan(diff) / th)
-                - math.pi * gauss_floor((2.0 * diff + math.pi) / (2.0 * math.pi))
+                - math.pi * math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
             )
         return out
 
@@ -263,11 +292,7 @@ def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     br = contour_bracket(jc, p)
     eps = max(1e-12, 1e-9 * (br.k_right - br.k_left))
     lo, hi = br.k_left + eps, br.k_right - eps
-    target = float(jt)
-
-    def shifted(mu1):
-        return height(mu1, jc, p) - target
-
+    mu2_of, shifted = _contour_maps(jc, p, float(jt))
     f_lo, f_hi = shifted(lo), shifted(hi)
     if not (f_lo > 0.0 > f_hi):
         raise NoRootInBracket(
@@ -278,13 +303,13 @@ def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     mu1, iterations = bisect_monotone(
         shifted, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=200
     )
-    mu2 = mu2_of_mu1(mu1, jc, p)
-    lam_by_label = {jc: mu1, jt: mu2}
+    lam_by_label = {jc: mu1, jt: mu2_of(mu1)}
     l1, l2 = lam_by_label[j1], lam_by_label[j2]
     polished = _polish_log_form(l1, l2, j1, j2, p)
-    if bae_defect(*polished, p) < bae_defect(l1, l2, p):
-        l1, l2 = polished
+    polished_residual = bae_defect(*polished, p)
     residual = bae_defect(l1, l2, p)
+    if polished_residual < residual:
+        (l1, l2), residual = polished, polished_residual
     if residual > defect_tol:
         raise ToleranceNotReached(
             f"defect {residual!r} above {defect_tol!r} for ({j1}, {j2})"

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 POLE_TOL = 1e-14
 
@@ -177,9 +177,9 @@ class ChainParams:
         """Anisotropy Delta = cosh(zeta) > 1."""
         return math.cosh(self.zeta)
 
-    @property
+    @cached_property
     def t(self):
-        """Shorthand t = tanh(zeta/2), in (0, 1)."""
+        """Shorthand t = tanh(zeta/2), in (0, 1); cached per instance."""
         return math.tanh(self.zeta / 2.0)
 
 
@@ -260,11 +260,6 @@ class RegimeReport:
     extra_two_string: bool
 
 
-def gauss_floor(x):
-    """Greatest integer not larger than x."""
-    return math.floor(x)
-
-
 def bae_defect(lambda1, lambda2, p):
     """Residual of the product-form equations for a rapidity pair.
 
@@ -308,7 +303,7 @@ def log_bae_residual(lambda1, lambda2, j1, j2, p):
             (2.0 * math.pi / p.n) * float(j)
             + (2.0 / p.n) * math.atan(math.tan(diff) / th)
             + (2.0 * math.pi / p.n)
-            * gauss_floor((2.0 * diff + math.pi) / (2.0 * math.pi))
+            * math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
         )
         res = max(res, abs(lhs - rhs))
     return res

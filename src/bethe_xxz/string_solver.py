@@ -16,7 +16,6 @@ import numpy as np
 
 from .model import (
     ChainParams,
-    HalfInt,
     NegativeDiscriminant,
     NegativeTanSquare,
     NoRootOnBranch,
@@ -379,10 +378,3 @@ def singular_solution(p: ChainParams):
         iterations=0,
         branch_meta={"method": "singular_exact"},
     )
-
-
-def singular_quantum_numbers(p: ChainParams):
-    """Label attached to the singular pair: depends on N mod 4."""
-    if p.n % 4 == 0:
-        return HalfInt(p.n // 2 - 1), HalfInt(p.n // 2 + 1)
-    return HalfInt(p.n // 2), HalfInt(p.n // 2)

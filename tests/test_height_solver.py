@@ -1,9 +1,15 @@
 """Distinct-label real pairs via the monotone height function."""
+import logging
 import math
 
 import pytest
 
+from bethe_xxz.dispatch import solve_quantum_pair
 from bethe_xxz.height_solver import (
+    DISCONTINUITY_TOL,
+    ContourBracket,
+    _pick_contour,
+    _polish_log_form,
     contour_bracket,
     diff_p,
     discontinuity_k,
@@ -12,11 +18,18 @@ from bethe_xxz.height_solver import (
     solve_pair,
 )
 from bethe_xxz.model import (
+    AtDiscontinuity,
+    BetheError,
     ChainParams,
     HalfInt,
+    NoRootInBracket,
     NoRootInInterval,
     QuantumPair,
+    RapidityPair,
     SolutionClass,
+    ToleranceNotReached,
+    bae_defect,
+    bisect_monotone,
 )
 from bethe_xxz.quantum_numbers import enumerate_all
 
@@ -135,3 +148,208 @@ class TestErrors:
         q = QuantumPair(HalfInt(3), HalfInt(3), SolutionClass.EQUAL_QN_REAL)
         with pytest.raises(ValueError):
             solve_pair(q, P86)
+
+
+# Reference copy of the unmemoized contour path: every edge is bisected
+# afresh for each pair, tan(mu1) is taken twice per height evaluation, and
+# the unpolished defect is evaluated twice.  The solver must give the same
+# floats.
+def _reference_mu2_of_mu1(mu1, j1, p):
+    a = math.tan(mu1)
+    inner = p.n * math.atan(math.tan(mu1) / p.t)
+    b = math.tanh(p.zeta) / math.tan(inner)
+    if abs(b) <= 1.0:
+        den = a * b - 1.0
+        if abs(den) < DISCONTINUITY_TOL:
+            raise AtDiscontinuity(
+                f"mu1={mu1!r} sits at a discontinuity of the contour of {j1}"
+            )
+        value = -(b + a) / den
+    else:
+        inv = 1.0 / b
+        den = a - inv
+        if abs(den * b) < DISCONTINUITY_TOL:
+            raise AtDiscontinuity(
+                f"mu1={mu1!r} sits at a discontinuity of the contour of {j1}"
+            )
+        value = -(1.0 + a * inv) / den
+    return math.atan(value)
+
+
+def _reference_height(mu1, j1, p):
+    mu2 = _reference_mu2_of_mu1(mu1, j1, p)
+    diff = mu2 - mu1
+    return (
+        (p.n / math.pi) * math.atan(math.tan(mu2) / p.t)
+        - (1.0 / math.pi) * math.atan(math.tan(diff) / math.tanh(p.zeta))
+        - math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
+    )
+
+
+def _reference_discontinuity_k(j1, p):
+    base = math.pi * (float(j1) - 0.5)
+    th = math.tanh(p.zeta)
+
+    def mu_of(theta):
+        return math.atan(p.t * math.tan((base + theta) / p.n))
+
+    def g(theta):
+        return math.tan(mu_of(theta)) * th / math.tan(theta) - 1.0
+
+    if float(j1) == 0.5:
+        raise NoRootInInterval(
+            f"the contour of j1={j1} has no left discontinuity (starts at 0)"
+        )
+    lo, hi = 1e-12, math.pi / 2.0 - 1e-12
+    g_lo, g_hi = g(lo), g(hi)
+    if not (g_lo > 0.0 > g_hi):
+        raise NoRootInInterval(
+            f"no discontinuity bracket for j1={j1} at N={p.n}, zeta={p.zeta}"
+        )
+    while mu_of(hi) - mu_of(lo) > 1e-14 and hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (mu_of(lo) + mu_of(hi))
+
+
+def _reference_contour_bracket(j1, p):
+    k_left = 0.0 if float(j1) == 0.5 else _reference_discontinuity_k(j1, p)
+    if float(j1) + 1.0 > (p.n - 1) / 2.0:
+        k_right = math.pi / 2.0
+    else:
+        k_right = _reference_discontinuity_k(j1 + 1, p)
+    return ContourBracket(
+        j1=j1, k_left=k_left, k_right=k_right, lambda_star=lambda_star(j1, p)
+    )
+
+
+def _reference_solve_pair(q, p, defect_tol=1e-10):
+    j1, j2 = q.j1, q.j2
+    dominant = j1 if abs(j1) > abs(j2) else j2
+    if abs(j1) != abs(j2) and dominant < 0:
+        return _reference_solve_pair(q.negated(), p, defect_tol).negated()
+    jc, jt = _pick_contour(j1, j2)
+    if jc.twice == p.n - 1 and jt.twice == 1:
+        lam_edge = math.nextafter(math.pi / 2.0, 0.0)
+        lam_by_label = {jc: lam_edge, jt: 0.0}
+        l1, l2 = lam_by_label[j1], lam_by_label[j2]
+        residual = bae_defect(l1, l2, p)
+        if residual > defect_tol:
+            raise ToleranceNotReached(
+                f"defect {residual!r} above {defect_tol!r} for ({j1}, {j2})"
+            )
+        return RapidityPair(
+            lambda1=complex(l1),
+            lambda2=complex(l2),
+            residual=residual,
+            iterations=0,
+            branch_meta={"method": "boundary_limit", "contour_j": str(jc)},
+        )
+    br = _reference_contour_bracket(jc, p)
+    eps = max(1e-12, 1e-9 * (br.k_right - br.k_left))
+    lo, hi = br.k_left + eps, br.k_right - eps
+    target = float(jt)
+
+    def shifted(mu1):
+        return _reference_height(mu1, jc, p) - target
+
+    f_lo, f_hi = shifted(lo), shifted(hi)
+    if not (f_lo > 0.0 > f_hi):
+        raise NoRootInBracket(
+            f"height on the contour of {jc} never attains {jt} "
+            f"(N={p.n}, zeta={p.zeta})"
+        )
+    xtol = max(1e-15, 4.0 * math.ulp(hi))
+    mu1, iterations = bisect_monotone(
+        shifted, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=200
+    )
+    mu2 = _reference_mu2_of_mu1(mu1, jc, p)
+    lam_by_label = {jc: mu1, jt: mu2}
+    l1, l2 = lam_by_label[j1], lam_by_label[j2]
+    polished = _polish_log_form(l1, l2, j1, j2, p)
+    if bae_defect(*polished, p) < bae_defect(l1, l2, p):
+        l1, l2 = polished
+    residual = bae_defect(l1, l2, p)
+    if residual > defect_tol:
+        raise ToleranceNotReached(
+            f"defect {residual!r} above {defect_tol!r} for ({j1}, {j2})"
+        )
+    return RapidityPair(
+        lambda1=complex(l1),
+        lambda2=complex(l2),
+        residual=residual,
+        iterations=iterations,
+        branch_meta={
+            "method": "height_contour",
+            "contour_j": str(jc),
+            "k_left": br.k_left,
+            "k_right": br.k_right,
+            "lambda_star": br.lambda_star,
+        },
+    )
+
+
+def _outcome(solve, q, p):
+    """The solution with its metadata, or the error type and message."""
+    try:
+        s = solve(q, p)
+    except BetheError as exc:
+        return type(exc), str(exc)
+    return s, s.branch_meta
+
+
+def _sector(p):
+    """Solve every enumerated pair of one sector, as solve-all does."""
+    return [_outcome(solve_quantum_pair, q, p) for q in enumerate_all(p)]
+
+
+EQUIVALENCE_POINTS = [
+    (n, zeta)
+    for n in range(4, 34, 2)
+    for zeta in (1e-3, 0.05, 0.3, 0.6, 1.0, 2.0, 5.0)
+] + [(64, 0.3)]
+
+
+class TestMemoizedContours:
+    @pytest.mark.parametrize("n,zeta", EQUIVALENCE_POINTS)
+    def test_same_floats_as_reference_path(self, n, zeta):
+        p = ChainParams(n, zeta)
+        discontinuity_k.cache_clear()
+        for q in _real_distinct_pairs(p):
+            expected = _outcome(_reference_solve_pair, q, p)
+            assert _outcome(solve_pair, q, p) == expected, (q.j1, q.j2)
+
+    def test_kernel_matches_reference_height(self):
+        br = contour_bracket(HalfInt(5), P86)
+        step = (br.k_right - br.k_left) / 500
+        for k in range(1, 500):
+            mu = br.k_left + k * step
+            assert height(mu, HalfInt(5), P86) == _reference_height(
+                mu, HalfInt(5), P86
+            )
+
+    @pytest.mark.parametrize("n,zeta", [(16, 0.3), (32, 2.0)])
+    def test_one_miss_per_edge_of_a_sector(self, n, zeta):
+        p = ChainParams(n, zeta)
+        discontinuity_k.cache_clear()
+        cold = _sector(p)
+        info = discontinuity_k.cache_info()
+        # Every contour is used, so every edge 3/2 .. (N-1)/2 is needed.
+        assert info.misses == info.currsize == n // 2 - 1
+        assert info.hits > info.misses
+        assert _sector(p) == cold
+        assert discontinuity_k.cache_info().misses == info.misses
+
+    def test_memo_miss_logs_edge_and_steps(self, caplog):
+        discontinuity_k.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            k = discontinuity_k(HalfInt(3), P86)
+            assert discontinuity_k(HalfInt(3), P86) == k
+        (record,) = caplog.records
+        assert record.name == "bethe_xxz.height_solver"
+        message = record.getMessage()
+        assert message.startswith(f"contour edge j1=3/2 N=8 zeta=0.6: k={k!r}")
+        assert message.endswith("bisection steps")

@@ -32,7 +32,6 @@ from bethe_xxz.string_solver import (
     branch_grid,
     delta_of_w,
     n_z1_grid,
-    singular_quantum_numbers,
     singular_solution,
     solve_boundary_string,
     solve_complex,
@@ -334,15 +333,14 @@ class TestSingular:
         assert s.branch_meta["method"] == "singular_exact"
 
     def test_labels_by_size_mod_4(self):
-        assert singular_quantum_numbers(ChainParams(8, 0.6)) == (
-            HalfInt(3),
-            HalfInt(5),
-        )
-        assert singular_quantum_numbers(ChainParams(6, 0.6)) == (
-            HalfInt(3),
-            HalfInt(3),
-        )
-        assert singular_quantum_numbers(ChainParams(12, 0.6)) == (
-            HalfInt(5),
-            HalfInt(7),
-        )
+        expected = {
+            8: (HalfInt(3), HalfInt(5)),
+            6: (HalfInt(3), HalfInt(3)),
+            12: (HalfInt(5), HalfInt(7)),
+        }
+        for n, labels in expected.items():
+            singular = [
+                q for q in enumerate_all(ChainParams(n, 0.6))
+                if q.cls is SolutionClass.SINGULAR
+            ]
+            assert [(q.j1, q.j2) for q in singular] == [labels], n
