@@ -48,7 +48,7 @@ log = logging.getLogger("bethe_xxz")
 
 
 def _fmt(value):
-    """Floats with 17 significant digits; nested metadata as JSON."""
+    """CSV cells: floats with 17 significant digits, metadata as JSON."""
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, dict):
@@ -59,13 +59,7 @@ def _fmt(value):
 def _emit(payload, columns, args):
     """Write the {params, records, summary} payload as JSON or CSV."""
     if args.format == "json":
-        text = json.dumps(
-            payload,
-            indent=2,
-            default=_fmt,
-            sort_keys=False,
-        )
-        text += "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns)
@@ -80,19 +74,8 @@ def _emit(payload, columns, args):
         sys.stdout.write(text)
 
 
-def _json_floats(obj):
-    """Round-trippable floats inside nested structures (for JSON output)."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _json_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_floats(v) for v in obj]
-    return obj
-
-
 def _params_dict(p: ChainParams):
-    return {"n": p.n, "zeta": float(f"{p.zeta:.17g}")}
+    return {"n": p.n, "zeta": p.zeta}
 
 
 def _chain_params(args):
@@ -126,7 +109,7 @@ SOLUTION_COLUMNS = [
 def _pair_record(q: QuantumPair, p: ChainParams):
     return {
         "n": p.n,
-        "zeta": float(f"{p.zeta:.17g}"),
+        "zeta": p.zeta,
         "j1": str(q.j1),
         "j2": str(q.j2),
         "class": q.cls.value,
@@ -135,10 +118,9 @@ def _pair_record(q: QuantumPair, p: ChainParams):
 
 def _solution_record(q: QuantumPair, p: ChainParams, tol):
     record = _pair_record(q, p)
+    kwargs = {} if tol is None else {"defect_tol": tol}
     try:
-        sol = solve_quantum_pair(q, p, defect_tol=tol) if tol else (
-            solve_quantum_pair(q, p)
-        )
+        sol = solve_quantum_pair(q, p, **kwargs)
     except BetheError as exc:
         record.update(
             status=f"error:{type(exc).__name__}",
@@ -159,7 +141,7 @@ def _solution_record(q: QuantumPair, p: ChainParams, tol):
         lambda2_im=sol.lambda2.imag,
         defect=sol.residual if sol.residual is not None else "",
         energy=magnon_energy(sol.lambda1, sol.lambda2, p),
-        solver_branch_meta=_json_floats(sol.branch_meta),
+        solver_branch_meta=sol.branch_meta,
     )
     return record, True
 
@@ -275,6 +257,16 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """A defect tolerance: a finite, non-negative float."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative: {text!r}"
+        )
+    return value
+
+
 def _parse_range(text):
     """'start:stop:step' inclusive integer range."""
     start, stop, step = (int(part) for part in text.split(":"))
@@ -309,7 +301,7 @@ def cmd_regime_map(args):
             records.append(
                 {
                     "n": n,
-                    "zeta": float(f"{zeta:.17g}"),
+                    "zeta": zeta,
                     "tanh2": math.tanh(zeta / 2.0) ** 2,
                     "regime_label": label,
                     "inequality_label": check,
@@ -345,7 +337,7 @@ def cmd_xxx_trace(args):
     trace = trace_divergence(q, p0, schedule)
     records = [
         {
-            "zeta": float(f"{s.zeta:.17g}"),
+            "zeta": s.zeta,
             "lambda1": s.lambda1,
             "lambda2": s.lambda2,
             "lambda1_over_zeta": s.reduced,
@@ -393,12 +385,12 @@ def _build_parser():
     sp = sub.add_parser("solve", help="solve one labelled pair")
     common(sp)
     labels(sp)
-    sp.add_argument("--tol-defect", type=float, default=None)
+    sp.add_argument("--tol-defect", type=_tolerance, default=None)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("solve-all", help="solve every enumerated pair")
     common(sp)
-    sp.add_argument("--tol-defect", type=float, default=None)
+    sp.add_argument("--tol-defect", type=_tolerance, default=None)
     sp.set_defaults(func=cmd_solve_all)
 
     sp = sub.add_parser("verify", help="completeness check against dense ED")

@@ -10,6 +10,7 @@ real (collapsed strings) and whether the edge pair stays real.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 
 from .model import (
@@ -22,13 +23,16 @@ from .model import (
     RapidityPair,
     ToleranceNotReached,
     bae_defect,
-    bisect_monotone,
+    first_grid_root,
+    geometric_grid,
 )
 
 DEFAULT_DEFECT_TOL = 1e-10
 DENOMINATOR_TOL = 1e-13
 PHI_MIN = 1e-9
 GRID_POINTS = 2048
+
+log = logging.getLogger(__name__)
 
 
 def _phase_parts(phi, n, p: ChainParams):
@@ -107,88 +111,36 @@ def counting_w(phi, p: ChainParams, sign_x=1):
     return (p.n / (2.0 * math.pi)) * total - sign_x * gauss
 
 
-JUMP_THRESHOLD = 1.0
-
-
-def _refine_jump(g, phi_l, val_l, phi_r, val_r):
-    """Narrow a discontinuity of g to its left edge.
-
-    Classifies the midpoint by which side's value it is closer to; the jump
-    (size ~N/2) dwarfs the in-branch variation at these scales.
-    """
-    split = 0.5 * (val_l + val_r)
-    ascending = val_r > val_l
-    for _ in range(80):
-        mid = 0.5 * (phi_l + phi_r)
-        if mid <= phi_l or mid >= phi_r:
-            break
-        try:
-            val = g(mid)
-        except (NegativeTanSquare, DenominatorVanishes):
-            phi_r = mid
-            continue
-        if (val > split) == ascending:
-            phi_r = mid
-        else:
-            phi_l, val_l = mid, val
-    return phi_l, val_l
-
-
-def _scan_brackets(target, p: ChainParams, sign_x):
-    """Yield sign-change brackets of N*W - target on a log-spaced phi grid.
-
-    N*W is only piecewise continuous: the tangent wraps of x +- phi and the
-    Gauss step jump by ~N/2, and a root can hide in the sliver between the
-    last grid point and a jump.  Plain sign changes are yielded as-is (the
-    caller validates them); every jump is refined to its left edge so that a
-    crossing just before the branch ends is still bracketed.
-    """
-    phi_max = math.pi / 2.0 - 1e-9
-    ratio = (phi_max / PHI_MIN) ** (1.0 / (GRID_POINTS - 1))
-
-    def g(phi):
-        return counting_w(phi, p, sign_x) - target
-
-    prev_phi = prev_val = None
-    phi = PHI_MIN
-    for _ in range(GRID_POINTS):
-        try:
-            val = g(phi)
-        except (NegativeTanSquare, DenominatorVanishes):
-            prev_phi = prev_val = None
-            phi *= ratio
-            continue
-        if prev_val is not None:
-            if abs(val - prev_val) > JUMP_THRESHOLD:
-                edge_phi, edge_val = _refine_jump(g, prev_phi, prev_val, phi, val)
-                if prev_val * edge_val <= 0.0:
-                    yield prev_phi, edge_phi
-            elif prev_val * val <= 0.0:
-                yield prev_phi, phi
-        prev_phi, prev_val = phi, val
-        phi = min(phi * ratio, phi_max)
+def _sample(f, phi):
+    """f(phi), or NaN where no real center exists."""
+    try:
+        return f(phi)
+    except (NegativeTanSquare, DenominatorVanishes):
+        return math.nan
 
 
 def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
-    """Solve an equal-quantum-number real pair, or raise NoRealSolution."""
+    """Solve an equal-quantum-number real pair, or raise NoRealSolution.
+
+    N*W jumps by ~N/2 at the tangent wraps of x +- phi and at the Gauss
+    step; a root can sit in the sliver just before a jump.
+    """
     if q.j1 != q.j2:
         raise ValueError("solve_equal requires equal quantum numbers")
     sign_x = 1 if q.j1 > 0 else -1
     target = float(abs(q.j1))
-    phi = iterations = None
-    for bracket in _scan_brackets(target, p, 1):
-        cand, iters = bisect_monotone(
-            lambda f: counting_w(f, p, 1) - target,
-            bracket[0],
-            bracket[1],
-            xtol=1e-15,
-            max_iter=200,
-        )
-        # A sign change across a jump of N*W bisects to the jump abscissa,
-        # not a root; only accept candidates where N*W actually hits J1.
-        if abs(counting_w(cand, p, 1) - target) < 1e-8:
-            phi, iterations = cand, iters
-            break
+
+    def shifted(phi):
+        return counting_w(phi, p, 1) - target
+
+    grid = geometric_grid(PHI_MIN, math.pi / 2.0 - 1e-9, GRID_POINTS).tolist()
+    phi, iterations, brackets, jumps = first_grid_root(
+        shifted, grid, [_sample(shifted, point) for point in grid],
+        xtol=1e-15, accept=1e-8,
+    )
+    outcome = "no root" if phi is None else f"root phi={phi!r}"
+    log.debug("equal, J=%r: brackets %s, jumps %s, %s",
+              target, brackets, jumps, outcome)
     if phi is None:
         raise NoRealSolution(
             f"counting function never attains {q.j1} at N={p.n}, "

@@ -25,6 +25,8 @@ from .model import (
     ToleranceNotReached,
     bae_defect,
     bisect_monotone,
+    first_grid_root,
+    geometric_grid,
 )
 
 DEFAULT_DEFECT_TOL = 1e-8
@@ -183,65 +185,35 @@ def n_z1_grid(w, p: ChainParams):
 
 def branch_grid(branch: Branch, p: ChainParams):
     """The GRID_POINTS geometric w grid scanned on a branch, lo to hi."""
-    lo, hi = (
-        (NARROW_W_MIN, NARROW_W_MAX)
-        if branch is Branch.NARROW
-        else (WIDE_W_MIN, wide_w_cap(p))
-    )
-    factors = np.full(GRID_POINTS, (hi / lo) ** (1.0 / (GRID_POINTS - 1)))
-    factors[0] = lo
-    return np.minimum(np.multiply.accumulate(factors), hi)
+    if branch is Branch.NARROW:
+        return geometric_grid(NARROW_W_MIN, NARROW_W_MAX, GRID_POINTS)
+    return geometric_grid(WIDE_W_MIN, wide_w_cap(p), GRID_POINTS)
 
 
 def _solve_on_branch(target_j: float, branch: Branch, p: ChainParams):
     """Bisect N*Z1 = target_j on the requested branch; returns w.
 
-    One vectorised pass over the branch grid finds the candidate brackets:
-    consecutive valid points where N*Z1 - target_j changes sign (or is
-    within SIGN_GUARD of zero).  Each is re-evaluated with the scalar z1
-    and bisected in grid order; the first root that is not a jump of the
-    counting function is returned.
+    N*Z1 - target_j is sampled over the branch grid in one numpy pass and
+    its brackets are bisected in grid order with the scalar z1.
     """
 
     def shifted(w):
         return p.n * z1(w, p) - target_j
 
     grid = branch_grid(branch, p)
-    v = n_z1_grid(grid, p) - target_j
-    near = np.abs(v) <= SIGN_GUARD
-    flagged = (v[:-1] * v[1:] <= 0.0) | (
-        (near[:-1] | near[1:]) & np.isfinite(v[:-1] + v[1:])
+    root, _, brackets, jumps = first_grid_root(
+        shifted, grid, n_z1_grid(grid, p) - target_j,
+        xtol=1e-16, accept=1e-6, guard=SIGN_GUARD,
     )
-    brackets = [
-        (float(grid[k]), float(grid[k + 1])) for k in np.flatnonzero(flagged)
-    ]
-    jumps = []
-    for w_lo, w_hi in brackets:
-        try:
-            f_lo, f_hi = shifted(w_lo), shifted(w_hi)
-        except (NegativeDiscriminant, NegativeTanSquare):
-            continue
-        if f_lo * f_hi > 0.0:
-            continue
-        root, _ = bisect_monotone(
-            shifted, w_lo, w_hi, f_lo=f_lo, f_hi=f_hi,
-            xtol=1e-16, max_iter=200,
+    outcome = "no root" if root is None else f"root w={root!r}"
+    log.debug("%s branch, J=%r: brackets %s, jumps %s, %s",
+              branch.value, target_j, brackets, jumps, outcome)
+    if root is None:
+        raise NoRootOnBranch(
+            f"N*Z1 never attains {target_j!r} on the {branch.value} branch "
+            f"(N={p.n}, zeta={p.zeta})"
         )
-        if abs(shifted(root)) < 1e-6:
-            log.debug(
-                "%s branch, J=%r: brackets %s, jumps %s, root w=%r",
-                branch.value, target_j, brackets, jumps, root,
-            )
-            return root
-        jumps.append((w_lo, w_hi))
-    log.debug(
-        "%s branch, J=%r: brackets %s, jumps %s, no root",
-        branch.value, target_j, brackets, jumps,
-    )
-    raise NoRootOnBranch(
-        f"N*Z1 never attains {target_j!r} on the {branch.value} branch "
-        f"(N={p.n}, zeta={p.zeta})"
-    )
+    return root
 
 
 def _assemble(w, sign_x, p: ChainParams, method):

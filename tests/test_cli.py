@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import bethe_xxz
 from bethe_xxz.cli import main
 
 
@@ -13,6 +14,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subprocess_env():
+    """os.environ without BETHE_TWO_LOG, with this bethe_xxz importable."""
+    env = {k: v for k, v in os.environ.items() if k != "BETHE_TWO_LOG"}
+    src = os.path.dirname(os.path.dirname(bethe_xxz.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    return env
 
 
 class TestEnumerate:
@@ -108,7 +119,7 @@ class TestSolve:
             sys.executable, "-m", "bethe_xxz.cli", "solve", "--n", "8",
             "--zeta", "0.6", "--j1", "5/2", "--j2", "5/2",
         ]
-        env = {k: v for k, v in os.environ.items() if k != "BETHE_TWO_LOG"}
+        env = _subprocess_env()
         quiet = subprocess.run(
             argv, capture_output=True, text=True, env=env, timeout=60
         )
@@ -120,6 +131,55 @@ class TestSolve:
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
         assert "narrow branch, J=2.5: brackets [(" in loud.stderr
+
+    def test_equal_debug_log_goes_to_stderr_only(self):
+        argv = [
+            sys.executable, "-m", "bethe_xxz.cli", "solve", "--n", "8",
+            "--zeta", "0.6", "--j1", "7/2", "--j2", "7/2",
+        ]
+        env = _subprocess_env()
+        quiet = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=60
+        )
+        loud = subprocess.run(
+            argv, capture_output=True, text=True, timeout=60,
+            env=dict(env, BETHE_TWO_LOG="DEBUG"),
+        )
+        assert quiet.returncode == loud.returncode == 0
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        assert "equal, J=3.5: brackets [(" in loud.stderr
+        assert "root phi=" in loud.stderr
+
+    def test_zero_defect_tolerance_is_applied(self, capsys):
+        argv = ["solve", "--n", "8", "--zeta", "0.6", "--j1", "1/2",
+                "--j2", "3/2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["records"][0]["defect"] > 0.0
+        code, out, _ = run(capsys, *argv, "--tol-defect", "0")
+        assert code == 4
+        (record,) = json.loads(out)["records"]
+        assert record["status"] == "error:ToleranceNotReached"
+        code, _, _ = run(capsys, *argv, "--tol-defect", "1e-6")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "--j1", "1/2", "--j2", "3/2"], ["solve-all"]]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "x"])
+    def test_bad_defect_tolerance_is_usage_error(self, capsys, command, value):
+        code, out, err = run(
+            capsys, *command, "--n", "8", "--zeta", "0.6",
+            f"--tol-defect={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "argument --tol-defect" in err
+        code, _, _ = run(
+            capsys, *command, "--n", "8", "--zeta", "0.6", "--tol-defect=1e-6"
+        )
+        assert code == 0
 
 
 class TestSolveAll:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bethe_xxz.model import (
     ChainParams,
     HalfInt,
+    NegativeTanSquare,
     NoRootInBracket,
     PoleEncountered,
     QuantumPair,
@@ -14,6 +15,7 @@ from bethe_xxz.model import (
     SolutionClass,
     bae_defect,
     bisect_monotone,
+    first_grid_root,
     log_bae_residual,
     magnon_energy,
 )
@@ -161,6 +163,73 @@ class TestBisectMonotone:
     def test_finds_shifted_root(self, c):
         root, _ = bisect_monotone(lambda x: x - c, -1.0, 1.0, xtol=1e-14)
         assert abs(root - c) < 1e-12
+
+
+GRID = [k / 10.0 for k in range(11)]
+
+
+def _grid_root(f, values=None, guard=0.0):
+    if values is None:
+        values = [f(x) for x in GRID]
+    return first_grid_root(f, GRID, values, xtol=1e-15, accept=1e-8,
+                           guard=guard)
+
+
+class TestFirstGridRoot:
+    def test_root_in_sliver_before_jump(self):
+        # Crosses zero at 0.55, then falls by ~2.4 at 0.56: the samples at
+        # 0.5 and 0.6 share a sign, so only the jump narrowing finds it.
+        def f(x):
+            return x - 0.55 if x < 0.56 else x - 3.0
+
+        root, iterations, brackets, jumps = _grid_root(f)
+        assert root == pytest.approx(0.55, abs=1e-14)
+        assert iterations > 0
+        assert brackets == [] and jumps == []
+
+    def test_root_inside_steep_step(self):
+        # A continuous step of 2.4 between samples, crossing zero right of
+        # the step's mid value: narrowing alone would miss it.
+        def f(x):
+            return 24.0 * x - 14.0
+
+        root, _, brackets, jumps = _grid_root(f)
+        assert root == pytest.approx(14.0 / 24.0, abs=1e-14)
+        assert brackets == [(0.5, 0.6)] and jumps == []
+
+    def test_near_zero_guard_opens_a_bracket(self):
+        # The sample at 0.5 reads slightly negative while the scalar f is
+        # slightly positive there: the root lies in (0.4, 0.5).
+        def f(x):
+            return x - 0.5 + 1e-12
+
+        values = [f(x) for x in GRID]
+        values[5] = -1e-12
+        assert _grid_root(f, values)[0] is None
+        root, _, brackets, _ = _grid_root(f, values, guard=1e-9)
+        assert root == pytest.approx(0.5 - 1e-12, abs=1e-15)
+        assert brackets == [(0.4, 0.5), (0.5, 0.6)]
+
+    def test_nan_gap_never_bridged(self):
+        def f(x):
+            if 0.45 < x < 0.55:
+                raise NegativeTanSquare("undefined")
+            return 8.0 * (x - 0.5)
+
+        values = [f(x) if x != 0.5 else math.nan for x in GRID]
+        assert _grid_root(f, values) == (None, None, [], [])
+
+    def test_first_root_in_grid_order_wins(self):
+        # Jumps over zero at 0.15 (rejected), then crosses at 0.45 and 0.85.
+        def f(x):
+            if x < 0.15:
+                return -1.0
+            return 0.45 - x if x < 0.65 else x - 0.85
+
+        root, _, brackets, jumps = _grid_root(f)
+        assert root == pytest.approx(0.45, abs=1e-14)
+        assert brackets == [(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)]
+        assert jumps == [(0.1, 0.2)]
 
 
 class TestValueTypes:
