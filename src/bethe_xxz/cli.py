@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -17,7 +18,7 @@ import os
 import re
 import sys
 
-from .dispatch import solve_quantum_pair
+from .dispatch import solve_quantum_pair, solve_quantum_pairs
 from .model import (
     BetheError,
     BoundaryDegenerate,
@@ -27,6 +28,7 @@ from .model import (
     IncompleteSpectrum,
     QuantumPair,
     SolutionClass,
+    attempt,
     magnon_energy,
 )
 from .oracle import completeness_check
@@ -56,10 +58,48 @@ def _fmt(value):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _member_encoder(level):
+    """C-encoder for a run of scalar members at this nesting level."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": "))
+
+
+def _json_indent2(value, level=0):
+    """json.dumps(value, indent=2), nested `level` deep; keys are str.
+
+    With an indent, json uses its pure-Python encoder.  Here each run of
+    scalar members goes to the C encoder in one call, as a flat container
+    whose item separator carries the newline and the indent of its level.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    enc = _member_encoder(level + 1)
+    is_dict = isinstance(value, dict)
+    parts, run = [], []
+
+    def flush():
+        if run:
+            parts.append(enc.encode(dict(run) if is_dict else run)[1:-1])
+            run.clear()
+
+    for key, member in value.items() if is_dict else enumerate(value):
+        if isinstance(member, (dict, list, tuple)) and member:
+            flush()
+            head = enc.encode(key) + ": " if is_dict else ""
+            parts.append(head + _json_indent2(member, level + 1))
+        else:
+            run.append((key, member) if is_dict else member)
+    flush()
+    opening, closing = "{}" if is_dict else "[]"
+    pad = "\n" + "  " * level
+    body = enc.item_separator.join(parts)
+    return opening + pad + "  " + body + pad + closing
+
+
 def _emit(payload, columns, args):
     """Write the {params, records, summary} payload as JSON or CSV."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_indent2(payload) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns)
@@ -116,21 +156,23 @@ def _pair_record(q: QuantumPair, p: ChainParams):
     }
 
 
-def _solution_record(q: QuantumPair, p: ChainParams, tol):
+def _solve_kwargs(tol):
+    return {} if tol is None else {"defect_tol": tol}
+
+
+def _solution_record(q: QuantumPair, p: ChainParams, sol):
+    """The record of one pair from its RapidityPair or BetheError."""
     record = _pair_record(q, p)
-    kwargs = {} if tol is None else {"defect_tol": tol}
-    try:
-        sol = solve_quantum_pair(q, p, **kwargs)
-    except BetheError as exc:
+    if isinstance(sol, BetheError):
         record.update(
-            status=f"error:{type(exc).__name__}",
+            status=f"error:{type(sol).__name__}",
             lambda1_re="",
             lambda1_im="",
             lambda2_re="",
             lambda2_im="",
             defect="",
             energy="",
-            solver_branch_meta=str(exc),
+            solver_branch_meta=str(sol),
         )
         return record, False
     record.update(
@@ -184,7 +226,11 @@ def cmd_solve(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
-    results = [_solution_record(q, p, args.tol_defect) for q in matched]
+    kwargs = _solve_kwargs(args.tol_defect)
+    results = [
+        _solution_record(q, p, attempt(solve_quantum_pair, q, p, **kwargs))
+        for q in matched
+    ]
     records = [r for r, _ in results]
     all_ok = all(ok for _, ok in results)
     payload = {
@@ -206,7 +252,8 @@ def cmd_solve_all(args):
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    results = [_solution_record(q, p, args.tol_defect) for q in pairs]
+    solved = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
+    results = [_solution_record(q, p, sol) for q, sol in zip(pairs, solved)]
     order = sorted(
         range(len(pairs)),
         key=lambda i: (pairs[i].j1.twice, pairs[i].j2.twice, pairs[i].cls.value),

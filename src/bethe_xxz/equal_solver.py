@@ -134,9 +134,11 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         return counting_w(phi, p, 1) - target
 
     grid = geometric_grid(PHI_MIN, math.pi / 2.0 - 1e-9, GRID_POINTS).tolist()
+    # N*W jumps by ~N/2, so at N = 4 a grid step across a tangent wrap can
+    # stay under 1 (0.98 at zeta = 0.01) while hiding a root in its sliver.
     phi, iterations, brackets, jumps = first_grid_root(
         shifted, grid, [_sample(shifted, point) for point in grid],
-        xtol=1e-15, accept=1e-8,
+        xtol=1e-15, accept=1e-8, jump=min(1.0, p.n / 8.0),
     )
     outcome = "no root" if phi is None else f"root phi={phi!r}"
     log.debug("equal, J=%r: brackets %s, jumps %s, %s",

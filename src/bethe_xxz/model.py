@@ -328,6 +328,19 @@ def magnon_energy(lambda1, lambda2, p):
     return total.real - 2.0 * p.delta
 
 
+def attempt(solve, *args, **kwargs):
+    """solve(*args, **kwargs), or the BetheError it raised.
+
+    Batch solvers keep one outcome per pair.  The error keeps no traceback:
+    its frames would hold the batch's lists in a reference cycle until the
+    next collection.
+    """
+    try:
+        return solve(*args, **kwargs)
+    except BetheError as exc:
+        return exc.with_traceback(None)
+
+
 def bisect_monotone(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, max_iter=200):
     """Bisection for a monotone f with a sign change on [lo, hi].
 
@@ -369,24 +382,27 @@ def geometric_grid(lo, hi, points):
     return np.minimum(np.multiply.accumulate(factors), hi)
 
 
-def first_grid_root(f, grid, values, *, xtol, accept, guard=0.0):
+def first_grid_root(
+    f, grid, values, *, xtol, accept, guard=0.0, jump=JUMP_THRESHOLD
+):
     """First root of a piecewise monotone f, scanning its samples in order.
 
     values are f on grid, NaN where f raises; a NaN is never bridged.  At
     each pair of consecutive finite samples a sign change (or a sample
     within guard of zero) is bisected on the scalar f; then a step above
-    JUMP_THRESHOLD is narrowed to its left edge and [grid[k], edge] is
-    bisected, which finds a root in the sliver before a jump.  The first
-    result with |f| < accept wins.  Returns (root, iterations, brackets,
-    jumps): every sign-change pair, and the bisected intervals that failed
-    the check; root and iterations are None when none passed.
+    jump (JUMP_THRESHOLD unless given) is narrowed to its left edge and
+    [grid[k], edge] is bisected, which finds a root in the sliver before a
+    jump.  The first result with |f| < accept wins.  Returns (root,
+    iterations, brackets, jumps): every sign-change pair, and the bisected
+    intervals that failed the check; root and iterations are None when none
+    passed.
     """
     xs = np.asarray(grid, dtype=float).tolist()
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
     near = np.abs(v) <= guard
     crossing = finite & ((v[:-1] * v[1:] <= 0.0) | near[:-1] | near[1:])
-    jump = finite & (np.abs(v[1:] - v[:-1]) > JUMP_THRESHOLD)
+    steep = finite & (np.abs(v[1:] - v[:-1]) > jump)
     brackets = [(xs[k], xs[k + 1]) for k in np.flatnonzero(crossing)]
     jumps = []
 
@@ -418,9 +434,9 @@ def first_grid_root(f, grid, values, *, xtol, accept, guard=0.0):
             lo, hi = (lo, mid) if past else (mid, hi)
         return lo
 
-    for k in np.flatnonzero(crossing | jump):
+    for k in np.flatnonzero(crossing | steep):
         found = bisect(xs[k], xs[k + 1]) if crossing[k] else None
-        if found is None and jump[k]:
+        if found is None and steep[k]:
             edge = left_edge(
                 xs[k], xs[k + 1], 0.5 * (v[k] + v[k + 1]), v[k + 1] > v[k]
             )

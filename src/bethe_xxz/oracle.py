@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import solve_quantum_pair
+from .dispatch import solve_quantum_pairs
 from .model import (
     BetheError,
     ChainParams,
@@ -264,9 +264,12 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
     solved = []
     unsolved = []
     failures = []
-    for q in enumerate_all(p):
+    pairs = enumerate_all(p)
+    for q, rap in zip(pairs, solve_quantum_pairs(pairs, p)):
+        if isinstance(rap, BetheError):
+            unsolved.append((q, rap))
+            continue
         try:
-            rap = solve_quantum_pair(q, p)
             if q.cls is SolutionClass.SINGULAR:
                 vec = singular_vector(ham)
                 energy, residual = rayleigh_energy(vec, ham)

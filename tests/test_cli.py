@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import bethe_xxz
+from bethe_xxz import cli
 from bethe_xxz.cli import main
 
 
@@ -199,6 +201,31 @@ class TestSolveAll:
         )
         assert code == 2
 
+    def test_four_site_family_pairs_solve(self, capsys):
+        # (+-3/2, +-3/2) at N = 4, zeta <= 0.01 raised NoRealSolution.
+        code, out, err = run(capsys, "solve-all", "--n", "4", "--zeta", "0.01")
+        assert code == 0 and err == ""
+        assert json.loads(out)["summary"] == {"count": 6, "failed": 0}
+
+    def test_debug_log_goes_to_stderr_only(self):
+        argv = [
+            sys.executable, "-m", "bethe_xxz.cli", "solve-all", "--n", "16",
+            "--zeta", "0.6",
+        ]
+        env = _subprocess_env()
+        quiet = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=60
+        )
+        loud = subprocess.run(
+            argv, capture_output=True, text=True, timeout=60,
+            env=dict(env, BETHE_TWO_LOG="DEBUG"),
+        )
+        assert quiet.returncode == loud.returncode == 4
+        assert loud.stdout == quiet.stdout
+        batch = "sector batch N=16 zeta=0.6: 104 pairs, 56 lanes, "
+        assert batch in loud.stderr
+        assert loud.stderr.endswith(quiet.stderr)
+
     def test_sorted_by_labels(self, capsys):
         _, out, _ = run(capsys, "solve-all", "--n", "8", "--zeta", "0.6")
         records = json.loads(out)["records"]
@@ -291,3 +318,44 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+EMIT_COMMANDS = [
+    ["enumerate", "--n", "8", "--zeta", "0.6"],
+    ["solve", "--n", "12", "--zeta", "0.57", "--j1", "5/2", "--j2", "7/2"],
+    ["solve-all", "--n", "16", "--zeta", "0.6"],
+    ["solve-all", "--n", "22", "--zeta", "1e-3"],
+    ["regime-map", "--n-range", "8:16:2", "--zeta-grid", "0.1:1.0:5"],
+    ["xxx-trace", "--n", "8", "--j1", "7/2", "--j2", "1/2",
+     "--zeta-schedule", "0.3,0.1,0.03"],
+]
+
+
+def _stdlib_indent2(value):
+    return json.dumps(value, indent=2)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", EMIT_COMMANDS, ids=lambda a: a[0])
+    def test_same_bytes_as_stdlib_indent(self, capsys, monkeypatch, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        monkeypatch.setattr(cli, "_json_indent2", _stdlib_indent2)
+        assert run(capsys, *argv, "--format", fmt) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}]},
+            [[], [[1, []]], {"k": [2.5, None]}],
+            {"x": math.nan, "y": [math.inf, -math.inf], "z": -0.0},
+            {"na\u00efve": "\u2202\u00b2 \u03b6", "t": True, "f": False},
+            {"records": [{"n": 4, "m": {"k": 0.1}}, {"n": 6, "m": "e"}]},
+            "plain",
+            3,
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert cli._json_indent2(value) == _stdlib_indent2(value)

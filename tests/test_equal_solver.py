@@ -63,6 +63,19 @@ class TestFrozenSolutions:
         assert s.lambda1.real == pytest.approx(0.003477566369981977, abs=1e-12)
         assert s.lambda2.real == pytest.approx(1.5704485683993008, abs=1e-12)
 
+    @pytest.mark.parametrize("zeta", [1e-3, 3e-3, 0.01])
+    @pytest.mark.parametrize("tw", [3, -3])
+    def test_four_site_family_pair_near_isotropic_point(self, zeta, tw):
+        # At N = 4 the grid step across the tangent wrap before the root is
+        # 0.98, under a jump threshold of 1; the scan used to miss it.
+        p = ChainParams(4, zeta)
+        q = QuantumPair(
+            HalfInt(tw), HalfInt(tw), SolutionClass.INFINITE_FAMILY_REAL
+        )
+        s = solve_equal(q, p)
+        assert s.residual <= 1e-12
+        assert s.lambda1.real * tw > 0 and s.lambda2.real * tw > 0
+
 
 class TestNoRealSolution:
     def test_edge_pair_gone_complex(self):
@@ -171,7 +184,7 @@ def _reference_scan_brackets(target, p, sign_x):
             phi *= ratio
             continue
         if prev_val is not None:
-            if abs(val - prev_val) > 1.0:
+            if abs(val - prev_val) > min(1.0, p.n / 8.0):
                 edge_phi, edge_val = _reference_refine_jump(
                     g, prev_phi, prev_val, phi, val
                 )

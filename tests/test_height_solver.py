@@ -2,20 +2,29 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
-from bethe_xxz.dispatch import solve_quantum_pair
+from bethe_xxz import height_solver
+from bethe_xxz.dispatch import (
+    _goes_to_solve_pair,
+    solve_quantum_pair,
+    solve_quantum_pairs,
+)
 from bethe_xxz.height_solver import (
     DISCONTINUITY_TOL,
     ContourBracket,
+    _height_guard,
     _pick_contour,
     _polish_log_form,
+    _sector_height,
     contour_bracket,
     diff_p,
     discontinuity_k,
     height,
     lambda_star,
     solve_pair,
+    solve_pairs,
 )
 from bethe_xxz.model import (
     AtDiscontinuity,
@@ -353,3 +362,115 @@ class TestMemoizedContours:
         message = record.getMessage()
         assert message.startswith(f"contour edge j1=3/2 N=8 zeta=0.6: k={k!r}")
         assert message.endswith("bisection steps")
+
+
+def _batched(p):
+    """The pairs dispatch sends to solve_pair, in enumeration order."""
+    return [q for q in enumerate_all(p) if _goes_to_solve_pair(q, p)]
+
+
+def _as_outcomes(results):
+    """Batch results in the form _outcome gives."""
+    return [
+        (type(out), str(out)) if isinstance(out, BetheError)
+        else (out, out.branch_meta)
+        for out in results
+    ]
+
+
+def _batch_outcomes(pairs, p):
+    return _as_outcomes(solve_pairs(pairs, p))
+
+
+BATCH_POINTS = [
+    (n, zeta)
+    for n in range(4, 50, 2)
+    for zeta in (1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 5.0)
+] + [(64, 0.3), (64, 2.0), (128, 0.3)]
+
+
+class TestSectorBatch:
+    @pytest.mark.parametrize("n,zeta", BATCH_POINTS)
+    def test_same_outcomes_as_solve_pair(self, n, zeta):
+        p = ChainParams(n, zeta)
+        pairs = _batched(p)
+        expected = [_outcome(solve_pair, q, p) for q in pairs]
+        assert _batch_outcomes(pairs, p) == expected
+
+    @pytest.mark.parametrize("n,zeta", [(8, 0.6), (32, 0.01), (48, 5.0)])
+    def test_every_lane_handed_off_at_once(self, n, zeta, monkeypatch):
+        # With an infinite guard numpy decides no step: every lane is the
+        # scalar bisection from the contour ends.
+        p = ChainParams(n, zeta)
+        pairs = _batched(p)
+        expected = [_outcome(solve_pair, q, p) for q in pairs]
+        monkeypatch.setattr(height_solver, "SIGN_GUARD", math.inf)
+        assert _batch_outcomes(pairs, p) == expected
+
+    @pytest.mark.parametrize(
+        "n,zeta",
+        BATCH_POINTS[::5] + [(128, 0.3), (200, 0.05), (400, 0.05), (600, 0.1)],
+    )
+    def test_numpy_height_within_a_tenth_of_the_guard(self, n, zeta):
+        p = ChainParams(n, zeta)
+        height_np = _sector_height(p)
+        mu = np.linspace(1e-9, math.pi / 2.0 - 1e-9, 20001)
+        h, clear = height_np(mu)
+        assert clear.sum() > 0.9 * mu.size
+        worst = 0.0
+        for x, value in zip(mu[clear].tolist(), h[clear].tolist()):
+            # The kernel is label-free; the label only names the contour.
+            worst = max(worst, abs(value - height(x, HalfInt(1), p)))
+        assert worst < _height_guard(n) / 10.0
+
+    def test_floor_step_is_never_clear(self):
+        # At lambda_star the floor argument of the first equation is an
+        # integer: numpy and the scalar kernel may floor to either side.
+        for tw in (1, 3, 5):
+            mu = np.array([lambda_star(HalfInt(tw), P86)])
+            _, clear = _sector_height(P86)(mu)
+            assert not clear[0]
+
+    def test_discontinuity_is_never_clear(self):
+        k = discontinuity_k(HalfInt(5), P86)
+        mu = np.array([math.nextafter(k, 0.0), k, math.nextafter(k, 2.0)])
+        _, clear = _sector_height(P86)(mu)
+        assert not clear.any()
+
+    def test_mirrored_and_reversed_pairs_share_a_lane(self, caplog):
+        pairs = [
+            QuantumPair(HalfInt(a), HalfInt(b), SolutionClass.STANDARD_REAL)
+            for a, b in ((3, 5), (5, 3), (-3, -5), (-5, -3), (1, 3))
+        ]
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            out = solve_pairs(pairs, P86)
+        assert out == [solve_pair(q, P86) for q in pairs]
+        assert [o.branch_meta.get("mirrored") for o in out] == [
+            None, None, True, True, None,
+        ]
+        (record,) = caplog.records
+        assert record.name == "bethe_xxz.height_solver"
+        message = record.getMessage()
+        assert message.startswith(
+            "sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, "
+        )
+        assert "lockstep steps, " in message
+        assert message.endswith("scalar steps")
+
+    def test_rejects_equal_labels(self):
+        q = QuantumPair(HalfInt(3), HalfInt(3), SolutionClass.EQUAL_QN_REAL)
+        with pytest.raises(ValueError):
+            solve_pairs([q], P86)
+
+    def test_empty_batch(self):
+        assert solve_pairs([], P86) == []
+
+    @pytest.mark.parametrize("n,zeta", [(16, 0.6), (64, 2.0)])
+    def test_dispatch_batch_matches_per_pair(self, n, zeta):
+        # Both sectors have complex pairs that fail.
+        p = ChainParams(n, zeta)
+        pairs = enumerate_all(p)
+        results = solve_quantum_pairs(pairs, p)
+        assert any(isinstance(out, BetheError) for out in results)
+        expected = [_outcome(solve_quantum_pair, q, p) for q in pairs]
+        assert _as_outcomes(results) == expected
