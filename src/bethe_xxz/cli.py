@@ -60,8 +60,14 @@ def _fmt(value):
 
 @functools.lru_cache(maxsize=None)
 def _member_encoder(level):
-    """C-encoder for a run of scalar members at this nesting level."""
-    return json.JSONEncoder(separators=(",\n" + "  " * level, ": "))
+    """C-encoder for a run of scalar members at this nesting level.
+
+    It only ever sees scalars and empty containers, so it skips the
+    circular-reference bookkeeping.
+    """
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * level, ": "), check_circular=False
+    )
 
 
 def _json_indent2(value, level=0):
@@ -70,26 +76,26 @@ def _json_indent2(value, level=0):
     With an indent, json uses its pure-Python encoder.  Here each run of
     scalar members goes to the C encoder in one call, as a flat container
     whose item separator carries the newline and the indent of its level.
+    Every non-empty container member is written by a recursive call.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     enc = _member_encoder(level + 1)
     is_dict = isinstance(value, dict)
-    parts, run = [], []
-
-    def flush():
-        if run:
-            parts.append(enc.encode(dict(run) if is_dict else run)[1:-1])
-            run.clear()
-
+    parts, run = [], {} if is_dict else []
     for key, member in value.items() if is_dict else enumerate(value):
         if isinstance(member, (dict, list, tuple)) and member:
-            flush()
+            if run:
+                parts.append(enc.encode(run)[1:-1])
+                run.clear()
             head = enc.encode(key) + ": " if is_dict else ""
             parts.append(head + _json_indent2(member, level + 1))
+        elif is_dict:
+            run[key] = member
         else:
-            run.append((key, member) if is_dict else member)
-    flush()
+            run.append(member)
+    if run:
+        parts.append(enc.encode(run)[1:-1])
     opening, closing = "{}" if is_dict else "[]"
     pad = "\n" + "  " * level
     body = enc.item_separator.join(parts)

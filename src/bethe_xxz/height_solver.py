@@ -197,13 +197,7 @@ def height(mu1, j1: HalfInt, p: ChainParams):
     return _contour_maps(j1, p)[1](mu1)
 
 
-def _atan_scaled_derivative(u, c):
-    """d/du of atan(tan(u)/c)."""
-    tu = math.tan(u)
-    return c * (1.0 + tu * tu) / (c * c + tu * tu)
-
-
-def _polish_log_form(l1, l2, j1: HalfInt, j2: HalfInt, p: ChainParams):
+def _polish_log_form(l1, l2, j1, j2, p: ChainParams):
     """A few Newton steps on the logarithmic equations.
 
     Bisection is limited by the conditioning of the closed-form second
@@ -211,71 +205,85 @@ def _polish_log_form(l1, l2, j1: HalfInt, j2: HalfInt, p: ChainParams):
     anisotropy); Newton on the well-conditioned logarithmic residuals with
     an analytic Jacobian recovers full precision.  The Gauss floors are
     locally constant, so they enter the residual but not the Jacobian.
+
+    Each tangent is taken once per step and shared by the residuals and the
+    Jacobian, where d/du atan(tan(u)/c) = c (1 + tan^2 u) / (c^2 + tan^2 u).
+    Exchanging (l1, j1) with (l2, j2) exchanges the result exactly, since
+    the libm tan and atan are odd.
     """
-    t = p.t
-    th = math.tanh(p.zeta)
-
-    def residuals(a, b):
-        out = []
-        for lam, other, j in ((a, b, j1), (b, a, j2)):
-            diff = lam - other
-            out.append(
-                p.n * math.atan(math.tan(lam) / t)
-                - math.pi * float(j)
-                - math.atan(math.tan(diff) / th)
-                - math.pi * math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
-            )
-        return out
-
+    n, t, th = p.n, p.t, math.tanh(p.zeta)
+    tt, thth = t * t, th * th
+    pi, two_pi = math.pi, 2.0 * math.pi
+    pj1, pj2 = pi * float(j1), pi * float(j2)
+    tan, atan, floor = math.tan, math.atan, math.floor
     for _ in range(4):
-        g1, g2 = residuals(l1, l2)
-        d_self_1 = p.n * _atan_scaled_derivative(l1, t)
-        d_self_2 = p.n * _atan_scaled_derivative(l2, t)
-        d_diff = _atan_scaled_derivative(l1 - l2, th)
-        j11, j12 = d_self_1 - d_diff, d_diff
-        j21, j22 = d_diff, d_self_2 - d_diff
-        det = j11 * j22 - j12 * j21
+        a1, a2 = tan(l1), tan(l2)
+        d12, d21 = l1 - l2, l2 - l1
+        b12 = tan(d12)
+        g1 = (
+            n * atan(a1 / t)
+            - pj1
+            - atan(b12 / th)
+            - pi * floor((2.0 * d12 + pi) / two_pi)
+        )
+        g2 = (
+            n * atan(a2 / t)
+            - pj2
+            - atan(tan(d21) / th)
+            - pi * floor((2.0 * d21 + pi) / two_pi)
+        )
+        d_self_1 = n * (t * (1.0 + a1 * a1) / (tt + a1 * a1))
+        d_self_2 = n * (t * (1.0 + a2 * a2) / (tt + a2 * a2))
+        d_diff = th * (1.0 + b12 * b12) / (thth + b12 * b12)
+        j11, j22 = d_self_1 - d_diff, d_self_2 - d_diff
+        det = j11 * j22 - d_diff * d_diff
         if det == 0.0:
             break
-        step1 = (g1 * j22 - g2 * j12) / det
-        step2 = (g2 * j11 - g1 * j21) / det
+        step1 = (g1 * j22 - g2 * d_diff) / det
+        step2 = (g2 * j11 - g1 * d_diff) / det
         l1, l2 = l1 - step1, l2 - step2
         if max(abs(step1), abs(step2)) < 1e-15:
             break
     return l1, l2
 
 
-def _pick_contour(j1: HalfInt, j2: HalfInt):
-    """Choose which member carries the contour (must be positive).
+def _canonical(t1, t2):
+    """(mirrored, 2jc, 2jt) for the doubled labels t1 != t2 of a pair.
 
-    With both labels positive the larger one hosts the contour: interior
-    contours overshoot past +-(N-1)/2 at their ends, so any smaller target is
-    attainable, while the converse fails for the edge label.  A mixed-sign
-    pair must use its positive member.
+    A pair whose label of largest magnitude is negative is mirrored: that
+    label would host the contour, which must be positive, so the pair is
+    solved as (-J1, -J2) and negated, which gives exactly negated
+    rapidities.  Of the (mirrored) labels, jc hosts the contour and jt is
+    the target height.  With both labels positive the larger one hosts it:
+    interior contours overshoot past +-(N-1)/2 at their ends, so any
+    smaller target is attainable, while the converse fails for the edge
+    label.  A mixed-sign pair uses its positive member.
     """
-    if j1 > 0 and j2 > 0:
-        return (j1, j2) if j1 > j2 else (j2, j1)
-    if j1 > 0:
-        return j1, j2
-    if j2 > 0:
-        return j2, j1
+    mirrored = abs(t1) != abs(t2) and (t1 if abs(t1) > abs(t2) else t2) < 0
+    if mirrored:
+        t1, t2 = -t1, -t2
+    if t1 > 0 and (t2 <= 0 or t1 > t2):
+        return mirrored, t1, t2
+    if t2 > 0:
+        return mirrored, t2, t1
     raise NoRootInBracket(
-        f"pair ({j1}, {j2}) has no positive member to host the contour"
+        f"pair ({HalfInt(t1)}, {HalfInt(t2)}) has no positive member to "
+        "host the contour"
     )
 
 
-def _mirrored(q: QuantumPair):
-    """True when the label of largest magnitude is negative.
+class _Lane(NamedTuple):
+    """A lane's finished pair, in contour orientation (jc, jt)."""
 
-    That label hosts the contour and must be positive, so such a pair is
-    solved as its mirror and negated: (J1,J2) and (-J1,-J2) give exactly
-    negated rapidities.
-    """
-    dominant = q.j1 if abs(q.j1) > abs(q.j2) else q.j2
-    return abs(q.j1) != abs(q.j2) and dominant < 0
+    mu_c: float  # the rapidity of the contour label jc
+    mu_t: float  # the rapidity of the target label jt
+    residual: float
+    iterations: int
+    branch_meta: dict
+    polished: bool  # the Newton-polished pair was kept
 
 
-def _boundary_limit(q: QuantumPair, jc: HalfInt, p: ChainParams, defect_tol):
+def _boundary_lane(p: ChainParams):
     """The boundary member of the family with the edge label.
 
     The height on the edge contour reaches 1/2 only in the limit
@@ -284,22 +292,50 @@ def _boundary_limit(q: QuantumPair, jc: HalfInt, p: ChainParams, defect_tol):
     representable abscissa strictly below pi/2.
     """
     lam_edge = math.nextafter(math.pi / 2.0, 0.0)
-    l1, l2 = (lam_edge, 0.0) if q.j1 == jc else (0.0, lam_edge)
-    residual = bae_defect(l1, l2, p)
-    if residual > defect_tol:
+    return _Lane(
+        lam_edge, 0.0, bae_defect(lam_edge, 0.0, p), 0,
+        {"method": "boundary_limit", "contour_j": str(HalfInt(p.n - 1))},
+        False,
+    )
+
+
+def _finish_lane(tc, tt, mu1, iterations, mu2_of, branch_meta, p):
+    """The lane's pair at the contour root mu1: mu2, polish, defect.
+
+    Runs once per lane.  The Newton residuals and Jacobian and the
+    product-form defect swap exactly with the two members, so a member
+    labelled (jt, jc) gets the exact swap of this pair.
+    """
+    mu2 = mu2_of(mu1)
+    polished = _polish_log_form(mu1, mu2, tc / 2.0, tt / 2.0, p)
+    polished_residual = bae_defect(*polished, p)
+    residual = bae_defect(mu1, mu2, p)
+    if polished_residual < residual:
+        return _Lane(*polished, polished_residual, iterations, branch_meta,
+                     True)
+    return _Lane(mu1, mu2, residual, iterations, branch_meta, False)
+
+
+def _finish_member(lane: _Lane, t1, t2, tc, mirrored, defect_tol):
+    """The RapidityPair of the member with doubled labels (t1, t2).
+
+    (t1, t2) are the member's labels after mirroring; the pair is oriented
+    by them, checked against defect_tol and negated back if mirrored.
+    """
+    if lane.residual > defect_tol:
         raise ToleranceNotReached(
-            f"defect {residual!r} above {defect_tol!r} for ({q.j1}, {q.j2})"
+            f"defect {lane.residual!r} above {defect_tol!r} for "
+            f"({HalfInt(t1)}, {HalfInt(t2)})"
         )
-    return RapidityPair(
+    l1, l2 = (lane.mu_c, lane.mu_t) if t1 == tc else (lane.mu_t, lane.mu_c)
+    out = RapidityPair(
         lambda1=complex(l1),
         lambda2=complex(l2),
-        residual=residual,
-        iterations=0,
-        branch_meta={
-            "method": "boundary_limit",
-            "contour_j": str(jc),
-        },
+        residual=lane.residual,
+        iterations=lane.iterations,
+        branch_meta=dict(lane.branch_meta),
     )
+    return out.negated() if mirrored else out
 
 
 def _contour_meta(jc: HalfInt, br: ContourBracket):
@@ -319,55 +355,42 @@ def _bracket_ends(br: ContourBracket):
     return lo, hi, max(1e-15, 4.0 * math.ulp(hi))
 
 
-def _finish(q, jc, mu1, iterations, mu2_of, branch_meta, p, defect_tol):
-    """The pair at the contour root mu1: mu2, polish, defect check."""
-    mu2 = mu2_of(mu1)
-    l1, l2 = (mu1, mu2) if q.j1 == jc else (mu2, mu1)
-    polished = _polish_log_form(l1, l2, q.j1, q.j2, p)
-    polished_residual = bae_defect(*polished, p)
-    residual = bae_defect(l1, l2, p)
-    if polished_residual < residual:
-        (l1, l2), residual = polished, polished_residual
-    if residual > defect_tol:
-        raise ToleranceNotReached(
-            f"defect {residual!r} above {defect_tol!r} for ({q.j1}, {q.j2})"
-        )
-    return RapidityPair(
-        lambda1=complex(l1),
-        lambda2=complex(l2),
-        residual=residual,
-        iterations=iterations,
-        branch_meta=branch_meta,
+def _no_root(tc, tt, p: ChainParams):
+    return NoRootInBracket(
+        f"height on the contour of {HalfInt(tc)} never attains {HalfInt(tt)} "
+        f"(N={p.n}, zeta={p.zeta})"
     )
 
 
-def _no_root(jc, jt, p: ChainParams):
-    return NoRootInBracket(
-        f"height on the contour of {jc} never attains {jt} "
-        f"(N={p.n}, zeta={p.zeta})"
+def _solve_lane(tc, tt, p: ChainParams):
+    """Bisect and finish the lane of doubled labels (2jc, 2jt) alone."""
+    if tc == p.n - 1 and tt == 1:
+        return _boundary_lane(p)
+    jc = HalfInt(tc)
+    br = contour_bracket(jc, p)
+    lo, hi, xtol = _bracket_ends(br)
+    mu2_of, shifted = _contour_maps(jc, p, tt / 2.0)
+    f_lo, f_hi = shifted(lo), shifted(hi)
+    if not (f_lo > 0.0 > f_hi):
+        raise _no_root(tc, tt, p)
+    mu1, iterations = bisect_monotone(
+        shifted, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=MAX_ITER
+    )
+    return _finish_lane(
+        tc, tt, mu1, iterations, mu2_of, _contour_meta(jc, br), p
     )
 
 
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve a real pair with distinct quantum numbers by contour bisection."""
-    if q.j1 == q.j2:
+    t1, t2 = q.j1.twice, q.j2.twice
+    if t1 == t2:
         raise ValueError("solve_pair requires distinct quantum numbers")
-    if _mirrored(q):
-        return solve_pair(q.negated(), p, defect_tol=defect_tol).negated()
-    jc, jt = _pick_contour(q.j1, q.j2)
-    if jc.twice == p.n - 1 and jt.twice == 1:
-        return _boundary_limit(q, jc, p, defect_tol)
-    br = contour_bracket(jc, p)
-    lo, hi, xtol = _bracket_ends(br)
-    mu2_of, shifted = _contour_maps(jc, p, float(jt))
-    f_lo, f_hi = shifted(lo), shifted(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise _no_root(jc, jt, p)
-    mu1, iterations = bisect_monotone(
-        shifted, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=MAX_ITER
-    )
-    return _finish(
-        q, jc, mu1, iterations, mu2_of, _contour_meta(jc, br), p, defect_tol
+    mirrored, tc, tt = _canonical(t1, t2)
+    if mirrored:
+        t1, t2 = -t1, -t2
+    return _finish_member(
+        _solve_lane(tc, tt, p), t1, t2, tc, mirrored, defect_tol
     )
 
 
@@ -425,7 +448,7 @@ def _lockstep(rows, p: ChainParams):
     Each step takes the midpoints bisect_monotone takes.  numpy decides a
     lane's step only where the sign of height - target is beyond doubt;
     any other lane leaves with its bracket at that step.  Returns
-    ({lane: (root, iterations)}, [(lane, lo, hi, steps) handed off],
+    ({row: (root, iterations)}, [(row, lo, hi, steps) handed off],
     steps taken).
     """
     height_np = _sector_height(p)
@@ -484,80 +507,84 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     and messages.  Every distinct (contour, target) is one lane, so a pair,
     its reverse and their mirrors share one bisection; all lanes step
     together in numpy (_lockstep), and a lane whose sign numpy cannot
-    decide finishes with the scalar bisect_monotone from its bracket.
+    decide finishes with the scalar bisect_monotone from its bracket.  Each
+    lane is then polished and checked once (_finish_lane), and each pair
+    takes its orientation of the lane's result (_finish_member).
     """
-    lanes = {}  # (jc, jt) -> [(index, canonical pair, mirrored)]
-    for i, q in enumerate(pairs):
-        if q.j1 == q.j2:
+    lane_of = {}  # (2jc, 2jt) -> lane number
+    members = []  # per pair: lane number, mirrored doubled labels, mirrored
+    for q in pairs:
+        t1, t2 = q.j1.twice, q.j2.twice
+        if t1 == t2:
             raise ValueError("solve_pair requires distinct quantum numbers")
-        mirrored = _mirrored(q)
+        mirrored, tc, tt = _canonical(t1, t2)
         if mirrored:
-            q = q.negated()
-        lanes.setdefault(_pick_contour(q.j1, q.j2), []).append(
-            (i, q, mirrored)
-        )
+            t1, t2 = -t1, -t2
+        lane = lane_of.setdefault((tc, tt), len(lane_of))
+        members.append((lane, t1, t2, tc, mirrored))
+    keys = list(lane_of)
     contours = {
-        jc: attempt(_setup, jc, p)
-        for jc in dict.fromkeys(jc for jc, _ in lanes)
+        tc: attempt(_setup, HalfInt(tc), p)
+        for tc in dict.fromkeys(tc for tc, _ in keys)
     }
 
-    # (jc, jt) -> (mu1, iterations) or BetheError; no entry for the
-    # boundary lane, which needs no bisection.
-    results = {}
-    keys, rows = [], []
-    for jc, jt in lanes:
-        if jc.twice == p.n - 1 and jt.twice == 1:
+    lanes = [None] * len(keys)  # lane number -> _Lane or BetheError
+    bisected, rows = [], []  # lockstep row -> lane number, its bracket
+    for lane, (tc, tt) in enumerate(keys):
+        if tc == p.n - 1 and tt == 1:
+            lanes[lane] = attempt(_boundary_lane, p)
             continue
-        setup = contours[jc]
+        setup, target = contours[tc], tt / 2.0
         if isinstance(setup, BetheError):
-            results[jc, jt] = setup
-        elif not (setup.h_lo - float(jt) > 0.0 > setup.h_hi - float(jt)):
-            results[jc, jt] = _no_root(jc, jt, p)
+            lanes[lane] = setup
+        elif not (setup.h_lo - target > 0.0 > setup.h_hi - target):
+            lanes[lane] = _no_root(tc, tt, p)
         else:
-            keys.append((jc, jt))
-            rows.append((setup.lo, setup.hi, setup.xtol, float(jt)))
+            bisected.append(lane)
+            rows.append((setup.lo, setup.hi, setup.xtol, target))
     roots, handoffs, steps = _lockstep(rows, p)
-    for lane, root in roots.items():
-        results[keys[lane]] = root
     scalar_steps = 0
-    for lane, lo, hi, done in handoffs:
-        jc, jt = keys[lane]
-        setup = contours[jc]
+    for row, lo, hi, done in handoffs:
+        tc, tt = keys[bisected[row]]
+        setup, target = contours[tc], tt / 2.0
         # f keeps the signs of the contour ends at the bracket's ends, and
         # bisect_monotone reads no more than those signs of them.
         found = attempt(
-            bisect_monotone, _contour_maps(jc, p, float(jt))[1], lo, hi,
-            f_lo=setup.h_lo - float(jt), f_hi=setup.h_hi - float(jt),
+            bisect_monotone, _contour_maps(HalfInt(tc), p, target)[1], lo, hi,
+            f_lo=setup.h_lo - target, f_hi=setup.h_hi - target,
             xtol=setup.xtol, max_iter=MAX_ITER - done,
         )
         if isinstance(found, BetheError):
-            results[jc, jt] = found
+            roots[row] = found
             continue
         mu1, more = found
         scalar_steps += more
-        results[jc, jt] = (mu1, done + more)
+        roots[row] = (mu1, done + more)
+    finished = kept = 0
+    for row, lane in enumerate(bisected):
+        root = roots[row]
+        if isinstance(root, BetheError):
+            lanes[lane] = root
+            continue
+        tc, tt = keys[lane]
+        setup = contours[tc]
+        lanes[lane] = out = attempt(
+            _finish_lane, tc, tt, *root, setup.mu2_of, setup.branch_meta, p
+        )
+        finished += 1
+        kept += isinstance(out, _Lane) and out.polished
     log.debug(
         "sector batch N=%d zeta=%r: %d pairs, %d lanes, %d lockstep steps, "
-        "%d scalar hand-offs, %d scalar steps",
-        p.n, p.zeta, len(pairs), len(lanes), steps, len(handoffs),
-        scalar_steps,
+        "%d scalar hand-offs, %d scalar steps, %d lanes finished, "
+        "%d kept the polished pair",
+        p.n, p.zeta, len(pairs), len(keys), steps, len(handoffs),
+        scalar_steps, finished, kept,
     )
 
-    outcomes = [None] * len(pairs)
-    for (jc, jt), members in lanes.items():
-        lane = results.get((jc, jt))
-        for i, q, mirrored in members:
-            if lane is None:
-                out = attempt(_boundary_limit, q, jc, p, defect_tol)
-            elif isinstance(lane, BetheError):
-                out = lane
-            else:
-                setup = contours[jc]
-                out = attempt(
-                    _finish, q, jc, *lane, setup.mu2_of,
-                    dict(setup.branch_meta), p, defect_tol,
-                )
-            if mirrored and isinstance(out, RapidityPair):
-                out = out.negated()
-            outcomes[i] = out
+    outcomes = []
+    for lane, t1, t2, tc, mirrored in members:
+        out = lanes[lane]
+        if not isinstance(out, BetheError):
+            out = attempt(_finish_member, out, t1, t2, tc, mirrored, defect_tol)
+        outcomes.append(out)
     return outcomes

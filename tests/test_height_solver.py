@@ -1,9 +1,12 @@
 """Distinct-label real pairs via the monotone height function."""
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethe_xxz import height_solver
 from bethe_xxz.dispatch import (
@@ -15,7 +18,6 @@ from bethe_xxz.height_solver import (
     DISCONTINUITY_TOL,
     ContourBracket,
     _height_guard,
-    _pick_contour,
     _polish_log_form,
     _sector_height,
     contour_bracket,
@@ -159,10 +161,62 @@ class TestErrors:
             solve_pair(q, P86)
 
 
-# Reference copy of the unmemoized contour path: every edge is bisected
-# afresh for each pair, tan(mu1) is taken twice per height evaluation, and
-# the unpolished defect is evaluated twice.  The solver must give the same
-# floats.
+# Reference copy of the unmemoized per-pair contour path: every edge is
+# bisected afresh for each pair, tan(mu1) is taken twice per height
+# evaluation, each pair is polished in its own label orientation with a
+# tangent taken afresh for every use, and the unpolished defect is
+# evaluated twice.  The solver must give the same floats.
+def _reference_pick_contour(j1, j2):
+    if j1 > 0 and j2 > 0:
+        return (j1, j2) if j1 > j2 else (j2, j1)
+    if j1 > 0:
+        return j1, j2
+    if j2 > 0:
+        return j2, j1
+    raise NoRootInBracket(
+        f"pair ({j1}, {j2}) has no positive member to host the contour"
+    )
+
+
+def _reference_atan_scaled_derivative(u, c):
+    tu = math.tan(u)
+    return c * (1.0 + tu * tu) / (c * c + tu * tu)
+
+
+def _reference_polish_log_form(l1, l2, j1, j2, p):
+    t = p.t
+    th = math.tanh(p.zeta)
+
+    def residuals(a, b):
+        out = []
+        for lam, other, j in ((a, b, j1), (b, a, j2)):
+            diff = lam - other
+            out.append(
+                p.n * math.atan(math.tan(lam) / t)
+                - math.pi * float(j)
+                - math.atan(math.tan(diff) / th)
+                - math.pi * math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
+            )
+        return out
+
+    for _ in range(4):
+        g1, g2 = residuals(l1, l2)
+        d_self_1 = p.n * _reference_atan_scaled_derivative(l1, t)
+        d_self_2 = p.n * _reference_atan_scaled_derivative(l2, t)
+        d_diff = _reference_atan_scaled_derivative(l1 - l2, th)
+        j11, j12 = d_self_1 - d_diff, d_diff
+        j21, j22 = d_diff, d_self_2 - d_diff
+        det = j11 * j22 - j12 * j21
+        if det == 0.0:
+            break
+        step1 = (g1 * j22 - g2 * j12) / det
+        step2 = (g2 * j11 - g1 * j21) / det
+        l1, l2 = l1 - step1, l2 - step2
+        if max(abs(step1), abs(step2)) < 1e-15:
+            break
+    return l1, l2
+
+
 def _reference_mu2_of_mu1(mu1, j1, p):
     a = math.tan(mu1)
     inner = p.n * math.atan(math.tan(mu1) / p.t)
@@ -235,12 +289,18 @@ def _reference_contour_bracket(j1, p):
     )
 
 
+def _reference_dominant(j1, j2):
+    """The label of largest magnitude, or 0 when the magnitudes tie."""
+    if abs(j1) == abs(j2):
+        return 0
+    return j1 if abs(j1) > abs(j2) else j2
+
+
 def _reference_solve_pair(q, p, defect_tol=1e-10):
     j1, j2 = q.j1, q.j2
-    dominant = j1 if abs(j1) > abs(j2) else j2
-    if abs(j1) != abs(j2) and dominant < 0:
+    if _reference_dominant(j1, j2) < 0:
         return _reference_solve_pair(q.negated(), p, defect_tol).negated()
-    jc, jt = _pick_contour(j1, j2)
+    jc, jt = _reference_pick_contour(j1, j2)
     if jc.twice == p.n - 1 and jt.twice == 1:
         lam_edge = math.nextafter(math.pi / 2.0, 0.0)
         lam_by_label = {jc: lam_edge, jt: 0.0}
@@ -278,7 +338,7 @@ def _reference_solve_pair(q, p, defect_tol=1e-10):
     mu2 = _reference_mu2_of_mu1(mu1, jc, p)
     lam_by_label = {jc: mu1, jt: mu2}
     l1, l2 = lam_by_label[j1], lam_by_label[j2]
-    polished = _polish_log_form(l1, l2, j1, j2, p)
+    polished = _reference_polish_log_form(l1, l2, j1, j2, p)
     if bae_defect(*polished, p) < bae_defect(l1, l2, p):
         l1, l2 = polished
     residual = bae_defect(l1, l2, p)
@@ -382,6 +442,34 @@ def _batch_outcomes(pairs, p):
     return _as_outcomes(solve_pairs(pairs, p))
 
 
+def _rapidities():
+    """Real rapidities in (-pi/2, pi/2), crowding 0 and both edges."""
+    edge = math.pi / 2.0
+    return st.one_of(
+        st.floats(-edge, edge, exclude_min=True, exclude_max=True),
+        st.floats(-1e-12, 1e-12),
+        st.floats(edge - 1e-12, edge, exclude_max=True),
+        st.floats(-edge, -edge + 1e-12, exclude_min=True),
+    )
+
+
+@st.composite
+def _polish_inputs(draw):
+    """(p, l1, l2, j1, j2): even N 4-200, zeta in [1e-3, 5], labels of N."""
+    half_n = draw(st.integers(2, 100))
+    p = ChainParams(2 * half_n, draw(st.floats(1e-3, 5.0)))
+    j1, j2 = (
+        HalfInt(2 * draw(st.integers(-half_n, half_n - 1)) + 1)
+        for _ in range(2)
+    )
+    return p, draw(_rapidities()), draw(_rapidities()), j1, j2
+
+
+def _bits(pair):
+    """A float pair as exact bit patterns: signed zeros and NaNs compare."""
+    return [x.hex() for x in pair]
+
+
 BATCH_POINTS = [
     (n, zeta)
     for n in range(4, 50, 2)
@@ -442,9 +530,12 @@ class TestSectorBatch:
             QuantumPair(HalfInt(a), HalfInt(b), SolutionClass.STANDARD_REAL)
             for a, b in ((3, 5), (5, 3), (-3, -5), (-5, -3), (1, 3))
         ]
+        # Solving pair by pair first warms the contour memo, so the batch
+        # logs no edge line.
+        expected = [solve_pair(q, P86) for q in pairs]
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
             out = solve_pairs(pairs, P86)
-        assert out == [solve_pair(q, P86) for q in pairs]
+        assert out == expected
         assert [o.branch_meta.get("mirrored") for o in out] == [
             None, None, True, True, None,
         ]
@@ -455,7 +546,81 @@ class TestSectorBatch:
             "sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, "
         )
         assert "lockstep steps, " in message
-        assert message.endswith("scalar steps")
+        assert re.search(
+            r"scalar steps, 2 lanes finished, [0-2] kept the polished pair$",
+            message,
+        )
+
+    @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
+    def test_one_finish_per_lane(self, n, zeta, monkeypatch, caplog):
+        p = ChainParams(n, zeta)
+        pairs = _batched(p)
+        expected = [_outcome(solve_pair, q, p) for q in pairs]
+        polish, defect = _polish_log_form, bae_defect
+        calls = {"polish": 0, "defect": 0, "kept": 0}
+
+        def counting_polish(l1, l2, j1, j2, p):
+            calls["polish"] += 1
+            out = polish(l1, l2, j1, j2, p)
+            calls["kept"] += defect(*out, p) < defect(l1, l2, p)
+            return out
+
+        def counting_defect(l1, l2, p):
+            calls["defect"] += 1
+            return defect(l1, l2, p)
+
+        monkeypatch.setattr(height_solver, "_polish_log_form", counting_polish)
+        monkeypatch.setattr(height_solver, "bae_defect", counting_defect)
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
+            assert _batch_outcomes(pairs, p) == expected
+        # A lane is the pair's (contour, target) after mirroring; every
+        # member of a lane whose bisection found a root is polished or fails
+        # the defect tolerance.
+        lanes = {}
+        for q, (out, _) in zip(pairs, expected):
+            if _reference_dominant(q.j1, q.j2) < 0:
+                q = q.negated()
+            lane = _reference_pick_contour(q.j1, q.j2)
+            lanes.setdefault(lane, set()).add(
+                out.branch_meta["method"] if isinstance(out, RapidityPair)
+                else out
+            )
+        polished = [
+            lane for lane, kinds in lanes.items()
+            if kinds <= {"height_contour", ToleranceNotReached}
+        ]
+        boundary = [
+            lane for lane, kinds in lanes.items() if kinds == {"boundary_limit"}
+        ]
+        assert len(polished) + len(boundary) == len(lanes) < len(pairs)
+        assert calls["polish"] == len(polished)
+        assert calls["defect"] == 2 * len(polished) + len(boundary)
+        (record,) = caplog.records
+        assert record.getMessage().endswith(
+            f"{len(polished)} lanes finished, {calls['kept']} kept the "
+            "polished pair"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_polish_inputs())
+    def test_finish_swaps_exactly_with_the_members(self, drawn):
+        p, l1, l2, j1, j2 = drawn
+        # A reversed member takes the exact swap of its lane's finish; this
+        # holds as long as the libm tan and atan are odd.
+        forward = _bits(_polish_log_form(l1, l2, j1, j2, p))
+        backward = _bits(_polish_log_form(l2, l1, j2, j1, p))
+        assert backward == forward[::-1]
+        assert bae_defect(l2, l1, p) == bae_defect(l1, l2, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_polish_inputs())
+    def test_polish_repeats_the_reference_steps(self, drawn):
+        p, l1, l2, j1, j2 = drawn
+        # Away from a root every Newton step counts, so a reordered
+        # operation in the residuals or the Jacobian changes the bits.
+        assert _bits(_polish_log_form(l1, l2, j1, j2, p)) == _bits(
+            _reference_polish_log_form(l1, l2, j1, j2, p)
+        )
 
     def test_rejects_equal_labels(self):
         q = QuantumPair(HalfInt(3), HalfInt(3), SolutionClass.EQUAL_QN_REAL)
