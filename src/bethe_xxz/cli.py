@@ -194,13 +194,18 @@ def _solution_record(q: QuantumPair, p: ChainParams, sol):
     return record, True
 
 
-def cmd_enumerate(args):
-    p = _chain_params(args)
+def _enumerate(p: ChainParams):
+    """enumerate_all(p); parameters on a degenerate boundary exit 3."""
     try:
-        pairs = enumerate_all(p)
+        return enumerate_all(p)
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        raise SystemExit(EXIT_DEGENERATE)
+
+
+def cmd_enumerate(args):
+    p = _chain_params(args)
+    pairs = _enumerate(p)
     payload = {
         "params": _params_dict(p),
         "records": [_pair_record(q, p) for q in pairs],
@@ -220,11 +225,7 @@ def cmd_solve(args):
     if args.j1 is None or args.j2 is None:
         print("error: solve requires --j1 and --j2", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        pairs = enumerate_all(p)
-    except BoundaryDegenerate as exc:
-        print(f"degenerate boundary: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    pairs = _enumerate(p)
     matched = _matching_pairs(pairs, args.j1, args.j2)
     if not matched:
         print(
@@ -253,22 +254,12 @@ def cmd_solve(args):
 
 def cmd_solve_all(args):
     p = _chain_params(args)
-    try:
-        pairs = enumerate_all(p)
-    except BoundaryDegenerate as exc:
-        print(f"degenerate boundary: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    pairs = _enumerate(p)
     solved = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
     results = [_solution_record(q, p, sol) for q, sol in zip(pairs, solved)]
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (pairs[i].j1.twice, pairs[i].j2.twice, pairs[i].cls.value),
-    )
-    records = [results[i][0] for i in order]
+    records = [record for record, _ in results]
     failed = [
-        f"({results[i][0]['j1']},{results[i][0]['j2']})"
-        for i in order
-        if not results[i][1]
+        f"({record['j1']},{record['j2']})" for record, ok in results if not ok
     ]
     payload = {
         "params": _params_dict(p),

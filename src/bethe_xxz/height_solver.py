@@ -3,8 +3,9 @@
 The second rapidity is eliminated in closed form, leaving a single monotone
 height function of mu1 on each contour between consecutive discontinuity
 points.  Solving height(mu1) = j2 by bisection yields the full pair.
-solve_pair bisects one pair with the scalar kernel; solve_pairs bisects a
-whole sector's pairs in one numpy lockstep, to the same floats.
+Every root comes from bisect_monotone on the scalar height; solve_pairs
+first narrows a whole sector's brackets in one numpy lockstep, which
+changes no float.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -338,47 +339,64 @@ def _finish_member(lane: _Lane, t1, t2, tc, mirrored, defect_tol):
     return out.negated() if mirrored else out
 
 
-def _contour_meta(jc: HalfInt, br: ContourBracket):
-    return {
+class _ContourSetup(NamedTuple):
+    """What every lane on one contour shares: done once per contour."""
+
+    branch_meta: dict
+    lo: float  # the bisection bracket, just inside the contour's edges
+    hi: float
+    xtol: float
+    h_lo: float  # the label-free height at lo and hi
+    h_hi: float
+
+
+def _setup(jc: HalfInt, p: ChainParams):
+    br = contour_bracket(jc, p)
+    eps = max(1e-12, 1e-9 * (br.k_right - br.k_left))
+    lo, hi = br.k_left + eps, br.k_right - eps
+    height_of = _contour_maps(jc, p)[1]
+    meta = {
         "method": "height_contour",
         "contour_j": str(jc),
         "k_left": br.k_left,
         "k_right": br.k_right,
         "lambda_star": br.lambda_star,
     }
-
-
-def _bracket_ends(br: ContourBracket):
-    """lo, hi and xtol of a bisection on the contour, inside its edges."""
-    eps = max(1e-12, 1e-9 * (br.k_right - br.k_left))
-    lo, hi = br.k_left + eps, br.k_right - eps
-    return lo, hi, max(1e-15, 4.0 * math.ulp(hi))
-
-
-def _no_root(tc, tt, p: ChainParams):
-    return NoRootInBracket(
-        f"height on the contour of {HalfInt(tc)} never attains {HalfInt(tt)} "
-        f"(N={p.n}, zeta={p.zeta})"
+    return _ContourSetup(
+        meta, lo, hi, max(1e-15, 4.0 * math.ulp(hi)), height_of(lo),
+        height_of(hi),
     )
 
 
-def _solve_lane(tc, tt, p: ChainParams):
-    """Bisect and finish the lane of doubled labels (2jc, 2jt) alone."""
+def _solve_lane(tc, tt, setup, p: ChainParams, lo=None, hi=None, done=0):
+    """Bisect and finish the lane of doubled labels (2jc, 2jt).
+
+    setup is the contour's _ContourSetup, or the BetheError its set-up
+    raised.  The bisection resumes from [lo, hi] (by default the contour's
+    bracket) after `done` steps taken on it, so the lane gets the root and
+    iteration count of one bisect_monotone from the contour's bracket.
+    """
     if tc == p.n - 1 and tt == 1:
         return _boundary_lane(p)
-    jc = HalfInt(tc)
-    br = contour_bracket(jc, p)
-    lo, hi, xtol = _bracket_ends(br)
-    mu2_of, shifted = _contour_maps(jc, p, tt / 2.0)
-    f_lo, f_hi = shifted(lo), shifted(hi)
+    if isinstance(setup, BetheError):
+        raise setup
+    target = tt / 2.0
+    f_lo, f_hi = setup.h_lo - target, setup.h_hi - target
     if not (f_lo > 0.0 > f_hi):
-        raise _no_root(tc, tt, p)
-    mu1, iterations = bisect_monotone(
-        shifted, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=MAX_ITER
+        raise NoRootInBracket(
+            f"height on the contour of {HalfInt(tc)} never attains "
+            f"{HalfInt(tt)} (N={p.n}, zeta={p.zeta})"
+        )
+    mu2_of, shifted = _contour_maps(HalfInt(tc), p, target)
+    # f keeps the signs of the contour ends at the bracket's ends, and
+    # bisect_monotone reads no more than those signs of them.
+    mu1, more = bisect_monotone(
+        shifted,
+        setup.lo if lo is None else lo,
+        setup.hi if hi is None else hi,
+        f_lo=f_lo, f_hi=f_hi, xtol=setup.xtol, max_iter=MAX_ITER - done,
     )
-    return _finish_lane(
-        tc, tt, mu1, iterations, mu2_of, _contour_meta(jc, br), p
-    )
+    return _finish_lane(tc, tt, mu1, done + more, mu2_of, setup.branch_meta, p)
 
 
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
@@ -389,8 +407,9 @@ def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     mirrored, tc, tt = _canonical(t1, t2)
     if mirrored:
         t1, t2 = -t1, -t2
+    setup = attempt(_setup, HalfInt(tc), p)
     return _finish_member(
-        _solve_lane(tc, tt, p), t1, t2, tc, mirrored, defect_tol
+        _solve_lane(tc, tt, setup, p), t1, t2, tc, mirrored, defect_tol
     )
 
 
@@ -443,73 +462,48 @@ def _height_guard(n):
 
 
 def _lockstep(rows, p: ChainParams):
-    """Bisect every lane at once; rows are the lanes' (lo, hi, xtol, target).
+    """Narrow every lane's bracket at once; rows are (lo, hi, xtol, target).
 
-    Each step takes the midpoints bisect_monotone takes.  numpy decides a
-    lane's step only where the sign of height - target is beyond doubt;
-    any other lane leaves with its bracket at that step.  Returns
-    ({row: (root, iterations)}, [(row, lo, hi, steps) handed off],
-    steps taken).
+    Each step takes the midpoints bisect_monotone takes.  A lane leaves at
+    the first step it cannot take: numpy is unsure of the sign of
+    height - target, the bracket is exhausted, or MAX_ITER is reached.
+    Returns each row's (lo, hi, steps taken).
     """
     height_np = _sector_height(p)
     guard = _height_guard(p.n)
-    lo, hi, xtol, target = np.array(rows, dtype=float).reshape(-1, 4).T
+    lo, hi, xtol, target = np.array(rows, dtype=float).T
+    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+    out_steps = np.empty(len(rows), dtype=int)
     live = np.arange(len(rows))
-    roots, handoffs = {}, []
     step = 0
-    while live.size and step < MAX_ITER:
+    while live.size:
         mid = 0.5 * (lo + hi)
-        done = (mid <= lo) | (mid >= hi) | ((hi - lo) < xtol)
         h, clear = height_np(mid)
         f = h - target
-        sure = clear & np.isfinite(f) & (np.abs(f) > guard)
-        for k in np.flatnonzero(done):
-            roots[int(live[k])] = (float(mid[k]), step)
-        for k in np.flatnonzero(~done & ~sure):
-            handoffs.append((int(live[k]), float(lo[k]), float(hi[k]), step))
-        keep = ~done & sure
+        go = (
+            clear & np.isfinite(f) & (np.abs(f) > guard)
+            & (mid > lo) & (mid < hi) & ((hi - lo) >= xtol)
+            & (step < MAX_ITER)
+        )
+        leave = live[~go]
+        out_lo[leave], out_hi[leave], out_steps[leave] = lo[~go], hi[~go], step
         up = f > 0.0
-        lo, hi = np.where(up, mid, lo)[keep], np.where(up, hi, mid)[keep]
-        live, xtol, target = live[keep], xtol[keep], target[keep]
+        lo, hi = np.where(up, mid, lo)[go], np.where(up, hi, mid)[go]
+        live, xtol, target = live[go], xtol[go], target[go]
         step += 1
-    for k, lane in enumerate(live.tolist()):
-        roots[lane] = (float(0.5 * (lo[k] + hi[k])), step)
-    return roots, handoffs, step
-
-
-class _ContourSetup(NamedTuple):
-    """What every lane on one contour shares: done once per contour."""
-
-    mu2_of: Callable[[float], float]
-    branch_meta: dict
-    lo: float
-    hi: float
-    xtol: float
-    h_lo: float  # the label-free height at lo and hi
-    h_hi: float
-
-
-def _setup(jc: HalfInt, p: ChainParams):
-    br = contour_bracket(jc, p)
-    lo, hi, xtol = _bracket_ends(br)
-    mu2_of, height_of = _contour_maps(jc, p)
-    return _ContourSetup(
-        mu2_of, _contour_meta(jc, br), lo, hi, xtol, height_of(lo),
-        height_of(hi),
-    )
+    return list(zip(out_lo.tolist(), out_hi.tolist(), out_steps.tolist()))
 
 
 def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
-    """solve_pair for many pairs of one sector, bisected in one lockstep.
+    """solve_pair for many pairs of one sector, narrowed in one lockstep.
 
     Returns one RapidityPair or BetheError per pair, in input order: what
     solve_pair returns or raises for it, the same floats, iteration counts
     and messages.  Every distinct (contour, target) is one lane, so a pair,
-    its reverse and their mirrors share one bisection; all lanes step
-    together in numpy (_lockstep), and a lane whose sign numpy cannot
-    decide finishes with the scalar bisect_monotone from its bracket.  Each
-    lane is then polished and checked once (_finish_lane), and each pair
-    takes its orientation of the lane's result (_finish_member).
+    its reverse and their mirrors share one bisection.  With two or more
+    lanes to bisect, _lockstep narrows all their brackets together in
+    numpy; each lane is then solved by _solve_lane from its bracket, and
+    each pair takes its orientation of the lane's result (_finish_member).
     """
     lane_of = {}  # (2jc, 2jt) -> lane number
     members = []  # per pair: lane number, mirrored doubled labels, mirrored
@@ -528,56 +522,43 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         for tc in dict.fromkeys(tc for tc, _ in keys)
     }
 
-    lanes = [None] * len(keys)  # lane number -> _Lane or BetheError
-    bisected, rows = [], []  # lockstep row -> lane number, its bracket
-    for lane, (tc, tt) in enumerate(keys):
-        if tc == p.n - 1 and tt == 1:
-            lanes[lane] = attempt(_boundary_lane, p)
-            continue
-        setup, target = contours[tc], tt / 2.0
-        if isinstance(setup, BetheError):
-            lanes[lane] = setup
-        elif not (setup.h_lo - target > 0.0 > setup.h_hi - target):
-            lanes[lane] = _no_root(tc, tt, p)
-        else:
-            bisected.append(lane)
-            rows.append((setup.lo, setup.hi, setup.xtol, target))
-    roots, handoffs, steps = _lockstep(rows, p)
-    scalar_steps = 0
-    for row, lo, hi, done in handoffs:
-        tc, tt = keys[bisected[row]]
-        setup, target = contours[tc], tt / 2.0
-        # f keeps the signs of the contour ends at the bracket's ends, and
-        # bisect_monotone reads no more than those signs of them.
-        found = attempt(
-            bisect_monotone, _contour_maps(HalfInt(tc), p, target)[1], lo, hi,
-            f_lo=setup.h_lo - target, f_hi=setup.h_hi - target,
-            xtol=setup.xtol, max_iter=MAX_ITER - done,
-        )
-        if isinstance(found, BetheError):
-            roots[row] = found
-            continue
-        mu1, more = found
-        scalar_steps += more
-        roots[row] = (mu1, done + more)
-    finished = kept = 0
-    for row, lane in enumerate(bisected):
-        root = roots[row]
-        if isinstance(root, BetheError):
-            lanes[lane] = root
-            continue
-        tc, tt = keys[lane]
-        setup = contours[tc]
-        lanes[lane] = out = attempt(
-            _finish_lane, tc, tt, *root, setup.mu2_of, setup.branch_meta, p
-        )
-        finished += 1
-        kept += isinstance(out, _Lane) and out.polished
+    # The lanes _solve_lane bisects (the edge contour's height stays above
+    # 1/2 on its bracket, so the boundary lane is not among them), each
+    # with its (lo, hi, steps) to resume from.  A lone lane skips the
+    # lockstep: a one-row numpy step costs about as much as a whole scalar
+    # bisection.
+    narrowed = {
+        lane: (None, None, 0)
+        for lane, (tc, tt) in enumerate(keys)
+        if isinstance(contours[tc], _ContourSetup)
+        and contours[tc].h_lo > tt / 2.0 > contours[tc].h_hi
+    }
+    steps = 0
+    if len(narrowed) > 1:
+        rows = []
+        for lane in narrowed:
+            tc, tt = keys[lane]
+            setup = contours[tc]
+            rows.append((setup.lo, setup.hi, setup.xtol, tt / 2.0))
+        narrowed = dict(zip(narrowed, _lockstep(rows, p)))
+        # numpy evaluations: the last lanes leave after one more.
+        steps = 1 + max(done for _, _, done in narrowed.values())
+    lanes = [
+        attempt(_solve_lane, tc, tt, contours[tc], p, *narrowed.get(lane, ()))
+        for lane, (tc, tt) in enumerate(keys)
+    ]
+    finished = kept = scalar_steps = 0
+    for lane, (_, _, done) in narrowed.items():
+        out = lanes[lane]
+        if isinstance(out, _Lane):
+            finished += 1
+            kept += out.polished
+            scalar_steps += out.iterations - done
     log.debug(
         "sector batch N=%d zeta=%r: %d pairs, %d lanes, %d lockstep steps, "
         "%d scalar hand-offs, %d scalar steps, %d lanes finished, "
         "%d kept the polished pair",
-        p.n, p.zeta, len(pairs), len(keys), steps, len(handoffs),
+        p.n, p.zeta, len(pairs), len(keys), steps, len(narrowed),
         scalar_steps, finished, kept,
     )
 

@@ -62,10 +62,6 @@ class NegativeDiscriminant(BetheError):
     """The quadratic for the string center has no real root."""
 
 
-class BranchInconsistent(BetheError):
-    """The closed form produced a non-real value where reality is required."""
-
-
 class DenominatorVanishes(BetheError):
     """A closed-form denominator is numerically zero."""
 

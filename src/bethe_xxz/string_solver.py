@@ -216,13 +216,6 @@ def _solve_on_branch(target_j: float, branch: Branch, p: ChainParams):
     return root
 
 
-def _assemble(w, sign_x, p: ChainParams, method):
-    delta = delta_of_w(w, p)
-    x = sign_x * math.atan(math.sqrt(tan2x_of_w(w, p)))
-    lam1 = complex(x, 0.5 * p.zeta + delta)
-    return lam1, delta, x, method
-
-
 _BRANCH_BY_CLASS = {
     SolutionClass.NARROW_PAIR_COMPLEX: Branch.NARROW,
     SolutionClass.EXTRA_TWO_STRING: Branch.NARROW,
@@ -244,7 +237,9 @@ def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL)
         return mirror.negated()
     target = float(min(abs(q.j1), abs(q.j2)))
     w = _solve_on_branch(target, branch, p)
-    lam1, delta, x, method = _assemble(w, 1, p, "z1_branch")
+    delta = delta_of_w(w, p)
+    x = math.atan(math.sqrt(tan2x_of_w(w, p)))
+    lam1 = complex(x, 0.5 * p.zeta + delta)
     lam2 = lam1.conjugate()
     residual = bae_defect(lam1, lam2, p)
     if residual > defect_tol:
@@ -257,7 +252,7 @@ def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL)
         residual=residual,
         iterations=0,
         branch_meta={
-            "method": method,
+            "method": "z1_branch",
             "branch": branch.value,
             "w": w,
             "delta": delta,

@@ -10,6 +10,7 @@ import pytest
 import bethe_xxz
 from bethe_xxz import cli
 from bethe_xxz.cli import main
+from bethe_xxz.quantum_numbers import threshold_value
 
 
 def run(capsys, *argv):
@@ -270,6 +271,37 @@ class TestVerify:
         assert code == 5
         assert out.startswith("28/28 matched; INCOMPLETE:")
         assert "eigen-residual" in out
+
+
+def _degenerate_zeta():
+    """The anisotropy where the N = 12 threshold crosses 11/2, bisected."""
+    lo, hi = 0.52, 0.57
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if threshold_value(12, mid) < 5.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestDegenerateBoundary:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["enumerate"],
+            ["solve", "--j1", "1/2", "--j2", "3/2"],
+            ["solve-all"],
+            ["verify"],
+        ],
+    )
+    def test_exits_3(self, capsys, command):
+        zeta = repr(_degenerate_zeta())
+        code, out, err = run(capsys, *command, "--n", "12", "--zeta", zeta)
+        assert code == cli.EXIT_DEGENERATE == 3
+        assert out == ""
+        assert err.startswith("degenerate boundary: ")
+        assert err.count("\n") == 1
 
 
 class TestRegimeMap:

@@ -601,6 +601,86 @@ class TestSectorBatch:
             "polished pair"
         )
 
+    @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
+    def test_one_bisection_finishes_each_lane(self, n, zeta, monkeypatch):
+        # numpy only narrows brackets: each bisected lane ends in exactly
+        # one bisect_monotone, resumed from its lockstep bracket with the
+        # iterations it has left, and counts the steps of both.
+        p = ChainParams(n, zeta)
+        pairs = _batched(p)
+        expected = [_outcome(solve_pair, q, p) for q in pairs]
+        lockstep, finish = height_solver._lockstep, height_solver._finish_lane
+        rows, narrowed, bisections, iterations = [], [], [], []
+
+        def recording_lockstep(given, p):
+            out = lockstep(given, p)
+            rows.extend(given)
+            narrowed.extend(out)
+            return out
+
+        def recording_bisect(f, lo, hi, **kwargs):
+            root, more = bisect_monotone(f, lo, hi, **kwargs)
+            bisections.append((lo, hi, kwargs["max_iter"], more))
+            return root, more
+
+        def recording_finish(tc, tt, mu1, steps, *rest):
+            iterations.append(steps)
+            return finish(tc, tt, mu1, steps, *rest)
+
+        monkeypatch.setattr(height_solver, "_lockstep", recording_lockstep)
+        monkeypatch.setattr(height_solver, "bisect_monotone", recording_bisect)
+        monkeypatch.setattr(height_solver, "_finish_lane", recording_finish)
+        assert _batch_outcomes(pairs, p) == expected
+        assert len(bisections) == len(narrowed) == len(iterations) > 1
+        assert sum(done for _, _, done in narrowed) > 0
+        for (lo, hi, done), (b_lo, b_hi, budget, more), steps in zip(
+            narrowed, bisections, iterations
+        ):
+            assert (b_lo, b_hi) == (lo, hi)
+            assert budget == height_solver.MAX_ITER - done
+            assert steps == done + more
+
+        # Each narrowed bracket is the one the scalar bisection holds after
+        # as many steps from the contour's bracket.
+        for (lo0, hi0, xtol, target), (lo, hi, done) in zip(rows, narrowed):
+            # The kernel is label-free; the label only names the contour.
+            shifted = height_solver._contour_maps(HalfInt(1), p, target)[1]
+            assert bisect_monotone(
+                shifted, lo0, hi0, xtol=xtol, max_iter=done
+            ) == (0.5 * (lo + hi), done)
+
+    def test_lone_lane_skips_the_lockstep(self, monkeypatch, caplog):
+        # A pair and its reverse share one lane; solve_pair and the batch
+        # both bisect it from the contour's bracket, with no numpy step.
+        pairs = [
+            QuantumPair(HalfInt(a), HalfInt(b), SolutionClass.STANDARD_REAL)
+            for a, b in ((3, 5), (5, 3))
+        ]
+        expected = [solve_pair(q, P86) for q in pairs]
+        setup = height_solver._setup(HalfInt(5), P86)
+        calls = []
+
+        def recording_bisect(f, lo, hi, **kwargs):
+            calls.append((lo, hi, kwargs["max_iter"]))
+            return bisect_monotone(f, lo, hi, **kwargs)
+
+        def no_lockstep(rows, p):
+            raise AssertionError(f"lockstep over {len(rows)} lane(s)")
+
+        monkeypatch.setattr(height_solver, "bisect_monotone", recording_bisect)
+        monkeypatch.setattr(height_solver, "_lockstep", no_lockstep)
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
+            assert solve_pair(pairs[0], P86) == expected[0]
+            assert solve_pairs(pairs, P86) == expected
+        full = (setup.lo, setup.hi, height_solver.MAX_ITER)
+        assert calls == [full, full]
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            "sector batch N=8 zeta=0.6: 2 pairs, 1 lanes, 0 lockstep steps, "
+            f"1 scalar hand-offs, {expected[0].iterations} scalar steps, "
+            "1 lanes finished, "
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(_polish_inputs())
     def test_finish_swaps_exactly_with_the_members(self, drawn):
