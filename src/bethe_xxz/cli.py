@@ -35,6 +35,7 @@ from .oracle import completeness_check
 from .quantum_numbers import (
     classify_regime,
     enumerate_all,
+    pairs_with_labels,
     regime_label_from_inequalities,
     regime_label_from_report,
 )
@@ -194,10 +195,10 @@ def _solution_record(q: QuantumPair, p: ChainParams, sol):
     return record, True
 
 
-def _enumerate(p: ChainParams):
-    """enumerate_all(p); parameters on a degenerate boundary exit 3."""
+def _classified(lookup, *args):
+    """lookup(*args); parameters on a degenerate boundary exit 3."""
     try:
-        return enumerate_all(p)
+        return lookup(*args)
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_DEGENERATE)
@@ -205,7 +206,7 @@ def _enumerate(p: ChainParams):
 
 def cmd_enumerate(args):
     p = _chain_params(args)
-    pairs = _enumerate(p)
+    pairs = _classified(enumerate_all, p)
     payload = {
         "params": _params_dict(p),
         "records": [_pair_record(q, p) for q in pairs],
@@ -215,18 +216,12 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def _matching_pairs(pairs, j1: HalfInt, j2: HalfInt):
-    want = {j1.twice, j2.twice}
-    return [q for q in pairs if {q.j1.twice, q.j2.twice} == want]
-
-
 def cmd_solve(args):
     p = _chain_params(args)
     if args.j1 is None or args.j2 is None:
         print("error: solve requires --j1 and --j2", file=sys.stderr)
         return EXIT_USAGE
-    pairs = _enumerate(p)
-    matched = _matching_pairs(pairs, args.j1, args.j2)
+    matched = _classified(pairs_with_labels, p, args.j1, args.j2)
     if not matched:
         print(
             f"error: ({args.j1}, {args.j2}) is not an enumerated pair",
@@ -254,7 +249,7 @@ def cmd_solve(args):
 
 def cmd_solve_all(args):
     p = _chain_params(args)
-    pairs = _enumerate(p)
+    pairs = _classified(enumerate_all, p)
     solved = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
     results = [_solution_record(q, p, sol) for q, sol in zip(pairs, solved)]
     records = [record for record, _ in results]
@@ -397,7 +392,13 @@ def cmd_xxx_trace(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built on first use and kept for the process.
+
+    parse_args fills a fresh Namespace on every call, so nothing carries
+    over from one call of main to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="bethe-xxz",
         description=(

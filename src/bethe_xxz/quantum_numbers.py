@@ -3,7 +3,8 @@
 The two-string threshold F(N, zeta) decides which equal-quantum-number pairs
 are real (collapsed) and which are complex, and whether the edge pair
 (+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  The enumeration emits
-exactly C(N, 2) labelled pairs for any non-degenerate parameter point.
+exactly C(N, 2) labelled pairs for any non-degenerate parameter point; the
+lookup of the pairs that carry one label set uses the same rules in O(N).
 """
 from __future__ import annotations
 
@@ -129,26 +130,16 @@ def _half_odds_between(lo, hi):
     return out
 
 
-def enumerate_all(p: ChainParams):
-    """Complete list of C(N, 2) quantum-number pairs with classes.
+def _special_pairs(p: ChainParams, report: RegimeReport):
+    """Every enumerated pair that is not standard real: O(N) of them.
 
-    The same (j1, j2) label can appear twice with different classes: the
-    singular pair shares its label with a standard real pair, and each wide
-    pair shares its label set with a member of the infinite real family.
+    The infinite family, the edge pairs, the remaining equal-label pairs, the
+    wide pairs and the singular pair, in no particular order.
     """
-    report = classify_regime(p)
     n = p.n
     f = report.threshold
     edge = HalfInt(n - 1)  # (N-1)/2
     pairs = []
-
-    # Standard real pairs: all -(N-1)/2 < j1 < j2 < (N-1)/2.
-    interior = _half_odds_between(-(n - 1) / 2.0, (n - 1) / 2.0)
-    for a in range(len(interior)):
-        for b in range(a + 1, len(interior)):
-            pairs.append(
-                QuantumPair(interior[a], interior[b], SolutionClass.STANDARD_REAL)
-            )
 
     # Infinite family with distinct labels: (k, (N-1)/2) and (-k, -(N-1)/2).
     for k in _half_odds_between(0.0, (n - 1) / 2.0):
@@ -197,6 +188,27 @@ def enumerate_all(p: ChainParams):
             HalfInt(n // 2), HalfInt(n // 2), SolutionClass.SINGULAR
         )
     pairs.append(singular)
+    return pairs
+
+
+def enumerate_all(p: ChainParams):
+    """Complete list of C(N, 2) quantum-number pairs with classes.
+
+    The same (j1, j2) label can appear twice with different classes: the
+    singular pair shares its label with a standard real pair, and each wide
+    pair shares its label set with a member of the infinite real family.
+    """
+    report = classify_regime(p)
+    n = p.n
+
+    # Standard real pairs: all -(N-1)/2 < j1 < j2 < (N-1)/2.
+    interior = _half_odds_between(-(n - 1) / 2.0, (n - 1) / 2.0)
+    pairs = [
+        QuantumPair(interior[a], interior[b], SolutionClass.STANDARD_REAL)
+        for a in range(len(interior))
+        for b in range(a + 1, len(interior))
+    ]
+    pairs += _special_pairs(p, report)
 
     pairs.sort(key=QuantumPair.key)
     expected = n * (n - 1) // 2
@@ -204,6 +216,30 @@ def enumerate_all(p: ChainParams):
         raise AssertionError(
             f"enumeration produced {len(pairs)} pairs, expected {expected}"
         )
+    return pairs
+
+
+def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
+    """The enumerated pairs whose label set is {j1, j2}, in O(N).
+
+    Equal to filtering enumerate_all(p) on the label set, in the same order,
+    without building the O(N^2) standard real pairs: at most one of them
+    carries a given label set.
+    """
+    report = classify_regime(p)
+    want = {j1.twice, j2.twice}
+    pairs = [
+        q
+        for q in _special_pairs(p, report)
+        if {q.j1.twice, q.j2.twice} == want
+    ]
+    # Standard real: two distinct half-odd labels inside +-(N-1)/2.
+    if len(want) == 2 and all(tw % 2 and abs(tw) < p.n - 1 for tw in want):
+        lo, hi = sorted(want)
+        pairs.append(
+            QuantumPair(HalfInt(lo), HalfInt(hi), SolutionClass.STANDARD_REAL)
+        )
+    pairs.sort(key=QuantumPair.key)
     return pairs
 
 

@@ -184,6 +184,57 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("1/2", "3/2"),  # standard real
+            ("3/2", "5/2"),  # singular and standard real
+            ("-7/2", "-5/2"),  # infinite family and wide
+        ],
+    )
+    def test_label_order_does_not_matter(self, capsys, a, b):
+        argv = ("solve", "--n", "8", "--zeta", "0.6")
+        forward = run(capsys, *argv, f"--j1={a}", f"--j2={b}")
+        assert forward[0] == 0 and forward[1]
+        assert run(capsys, *argv, f"--j1={b}", f"--j2={a}") == forward
+
+
+class TestParserReuse:
+    def _argvs(self, target):
+        return [
+            ["solve", "--n", "8", "--zeta", "0.6", "--j1", "3/2", "--j2",
+             "5/2", "--format", "csv", "--tol-defect", "1e-14",
+             "--output", str(target)],
+            ["solve", "--n", "8", "--zeta", "0.6", "--j1", "3/2", "--j2",
+             "5/2"],
+            ["enumerate", "--n", "8", "--zeta", "0.6"],
+            ["solve-all", "--n", "8", "--zeta", "0.6"],
+            ["solve", "--n", "8", "--zeta", "0.6", "--bogus"],
+        ]
+
+    def _runs(self, capsys, target):
+        results = []
+        for argv in self._argvs(target):
+            code, out, err = run(capsys, *argv)
+            written = target.read_bytes() if target.exists() else None
+            target.unlink(missing_ok=True)
+            results.append((code, out, err, written))
+        return results
+
+    def test_one_parser_gives_fresh_parser_bytes(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Options of one call (--format csv, --tol-defect, --output) and a
+        # usage error must not leak into the next call.
+        target = tmp_path / "solve.csv"
+        cli._build_parser.cache_clear()
+        reused = self._runs(capsys, target)
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused[0][3] is not None and reused[0][1] == ""
+        assert reused[1][1].startswith("{")
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert self._runs(capsys, target) == reused
+
 
 class TestSolveAll:
     def test_complete_inventory(self, capsys):

@@ -1,5 +1,6 @@
 """Regime classification, thresholds, and complete pair enumeration."""
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from bethe_xxz.quantum_numbers import (
     enumerate_all,
     has_extra_two_string,
     is_stable,
+    pairs_with_labels,
     regime_label_from_inequalities,
     regime_label_from_report,
     threshold_f,
@@ -23,6 +25,18 @@ from bethe_xxz.quantum_numbers import (
 )
 
 P86 = ChainParams(8, 0.6)
+
+
+def _degenerate_zeta():
+    """The anisotropy where the N = 12 threshold crosses 11/2, bisected."""
+    lo, hi = 0.52, 0.57
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if threshold_value(12, mid) < 5.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestThreshold:
@@ -78,17 +92,10 @@ class TestRegimeReport:
         assert has_extra_two_string(ChainParams(8, 2.0))
 
     def test_boundary_guard(self):
-        # Bisect the anisotropy where the threshold crosses (N-1)/2 at N=12
-        # and land within the guard band: classification must refuse.
-        lo, hi = 0.52, 0.57
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if threshold_value(12, mid) < 5.5:
-                lo = mid
-            else:
-                hi = mid
+        # Land within the guard band of the threshold crossing (N-1)/2 at
+        # N = 12: classification must refuse.
         with pytest.raises(BoundaryDegenerate):
-            classify_regime(ChainParams(12, 0.5 * (lo + hi)))
+            classify_regime(ChainParams(12, _degenerate_zeta()))
 
     def test_label_cross_check_on_grid(self):
         for n in (8, 12, 20, 40):
@@ -165,3 +172,55 @@ class TestEnumeration:
         for q in enumerate_all(P86):
             if q.cls is SolutionClass.WIDE_PAIR_COMPLEX:
                 assert abs(q.j2.twice - q.j1.twice) == 2
+
+
+def _assert_lookup_matches(p, label_sets, pairs):
+    """Each label set, in both orders, looks up its enumerated pairs."""
+    groups = {}
+    for q in pairs:
+        groups.setdefault(frozenset((q.j1.twice, q.j2.twice)), []).append(q)
+    for a, b in label_sets:
+        want = groups.get(frozenset((a, b)), [])
+        for x, y in ((a, b), (b, a)):
+            assert pairs_with_labels(p, HalfInt(x), HalfInt(y)) == want, (
+                p, x, y,
+            )
+
+
+class TestPairsWithLabels:
+    """pairs_with_labels(p, j1, j2) is the enumerate_all filter on {j1, j2}."""
+
+    @pytest.mark.parametrize("zeta", [1e-3, 0.05, 0.57, 2.0, 5.0])
+    @pytest.mark.parametrize("n", range(4, 21, 2))
+    def test_every_label_set(self, n, zeta):
+        # Half-odd, integer, equal and out-of-range labels alike.
+        p = ChainParams(n, zeta)
+        twice = range(-n - 2, n + 3)
+        _assert_lookup_matches(
+            p,
+            [(a, b) for a in twice for b in twice if a <= b],
+            enumerate_all(p),
+        )
+
+    @pytest.mark.parametrize("n,zeta", [(64, 0.3), (128, 2.0)])
+    def test_seeded_label_sets(self, n, zeta):
+        p = ChainParams(n, zeta)
+        pairs = enumerate_all(p)
+        rng = random.Random(n)
+        enumerated = [(q.j1.twice, q.j2.twice) for q in rng.sample(pairs, 300)]
+        special = [
+            (q.j1.twice, q.j2.twice)
+            for q in pairs
+            if q.cls is not SolutionClass.STANDARD_REAL
+        ]
+        drawn = [
+            (rng.randint(-n - 2, n + 2), rng.randint(-n - 2, n + 2))
+            for _ in range(300)
+        ]
+        _assert_lookup_matches(p, enumerated + special + drawn, pairs)
+
+    def test_degenerate_boundary_raises(self):
+        with pytest.raises(BoundaryDegenerate):
+            pairs_with_labels(
+                ChainParams(12, _degenerate_zeta()), HalfInt(1), HalfInt(3)
+            )
