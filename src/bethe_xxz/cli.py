@@ -3,7 +3,8 @@
 Every command emits machine-readable JSON ({params, records, summary}) or
 CSV with a fixed column order and 17-significant-digit floats, so repeated
 runs are byte-identical.  Exit codes: 0 ok, 2 usage, 3 degenerate regime
-boundary, 4 partial solve failure, 5 incomplete spectrum.
+boundary, 4 partial solve failure, 5 incomplete spectrum; main maps the
+exceptions of every command to them.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .model import (
     attempt,
     magnon_energy,
 )
-from .oracle import completeness_check
+from .oracle import DEFAULT_MAX_DIM, completeness_check
 from .quantum_numbers import (
     classify_regime,
     enumerate_all,
@@ -128,11 +129,7 @@ def _params_dict(p: ChainParams):
 def _chain_params(args):
     if args.n is None or args.zeta is None:
         raise SystemExit(EXIT_USAGE)
-    try:
-        return ChainParams(args.n, args.zeta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    return ChainParams(args.n, args.zeta)
 
 
 PAIR_COLUMNS = ["n", "zeta", "j1", "j2", "class"]
@@ -181,7 +178,7 @@ def _solution_record(q: QuantumPair, p: ChainParams, sol):
             energy="",
             solver_branch_meta=str(sol),
         )
-        return record, False
+        return record
     record.update(
         status="ok",
         lambda1_re=sol.lambda1.real,
@@ -192,21 +189,25 @@ def _solution_record(q: QuantumPair, p: ChainParams, sol):
         energy=magnon_energy(sol.lambda1, sol.lambda2, p),
         solver_branch_meta=sol.branch_meta,
     )
-    return record, True
+    return record
 
 
-def _classified(lookup, *args):
-    """lookup(*args); parameters on a degenerate boundary exit 3."""
-    try:
-        return lookup(*args)
-    except BoundaryDegenerate as exc:
-        print(f"degenerate boundary: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_DEGENERATE)
+def _emit_solutions(p, pairs, outcomes, args):
+    """Emit one record per pair and outcome; return the failed labels."""
+    records = [_solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)]
+    failed = [f"({r['j1']},{r['j2']})" for r in records if r["status"] != "ok"]
+    payload = {
+        "params": _params_dict(p),
+        "records": records,
+        "summary": {"count": len(records), "failed": len(failed)},
+    }
+    _emit(payload, SOLUTION_COLUMNS, args)
+    return failed
 
 
 def cmd_enumerate(args):
     p = _chain_params(args)
-    pairs = _classified(enumerate_all, p)
+    pairs = enumerate_all(p)
     payload = {
         "params": _params_dict(p),
         "records": [_pair_record(q, p) for q in pairs],
@@ -221,7 +222,7 @@ def cmd_solve(args):
     if args.j1 is None or args.j2 is None:
         print("error: solve requires --j1 and --j2", file=sys.stderr)
         return EXIT_USAGE
-    matched = _classified(pairs_with_labels, p, args.j1, args.j2)
+    matched = pairs_with_labels(p, args.j1, args.j2)
     if not matched:
         print(
             f"error: ({args.j1}, {args.j2}) is not an enumerated pair",
@@ -229,39 +230,16 @@ def cmd_solve(args):
         )
         return EXIT_USAGE
     kwargs = _solve_kwargs(args.tol_defect)
-    results = [
-        _solution_record(q, p, attempt(solve_quantum_pair, q, p, **kwargs))
-        for q in matched
-    ]
-    records = [r for r, _ in results]
-    all_ok = all(ok for _, ok in results)
-    payload = {
-        "params": _params_dict(p),
-        "records": records,
-        "summary": {
-            "count": len(records),
-            "failed": sum(1 for _, ok in results if not ok),
-        },
-    }
-    _emit(payload, SOLUTION_COLUMNS, args)
-    return EXIT_OK if all_ok else EXIT_PARTIAL
+    outcomes = [attempt(solve_quantum_pair, q, p, **kwargs) for q in matched]
+    failed = _emit_solutions(p, matched, outcomes, args)
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_solve_all(args):
     p = _chain_params(args)
-    pairs = _classified(enumerate_all, p)
-    solved = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
-    results = [_solution_record(q, p, sol) for q, sol in zip(pairs, solved)]
-    records = [record for record, _ in results]
-    failed = [
-        f"({record['j1']},{record['j2']})" for record, ok in results if not ok
-    ]
-    payload = {
-        "params": _params_dict(p),
-        "records": records,
-        "summary": {"count": len(records), "failed": len(failed)},
-    }
-    _emit(payload, SOLUTION_COLUMNS, args)
+    pairs = enumerate_all(p)
+    outcomes = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
+    failed = _emit_solutions(p, pairs, outcomes, args)
     if failed:
         print("failed pairs: " + ", ".join(failed), file=sys.stderr)
         return EXIT_PARTIAL
@@ -270,24 +248,15 @@ def cmd_solve_all(args):
 
 def cmd_verify(args):
     p = _chain_params(args)
-    kwargs = {}
-    if args.max_dim is not None:
-        kwargs["max_dim"] = args.max_dim
     try:
-        match = completeness_check(p, **kwargs)
-    except DimensionOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundaryDegenerate as exc:
-        print(f"degenerate boundary: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        match = completeness_check(p, max_dim=args.max_dim)
     except IncompleteSpectrum as exc:
-        matched = len(exc.match.entries) if exc.match else 0
-        dim = exc.match.dimension if exc.match else "?"
-        print(f"{matched}/{dim} matched; INCOMPLETE: {exc}")
-        if exc.match is not None and exc.match.unsolved:
-            return EXIT_PARTIAL
-        return EXIT_INCOMPLETE
+        match = exc.match
+        print(
+            f"{len(match.entries)}/{match.dimension} matched; "
+            f"INCOMPLETE: {exc}"
+        )
+        return EXIT_PARTIAL if match.unsolved else EXIT_INCOMPLETE
     print(
         f"{len(match.entries)}/{match.dimension} matched; "
         f"max energy error {match.max_energy_error:.3e}; "
@@ -307,16 +276,21 @@ def _tolerance(text):
 
 
 def _parse_range(text):
-    """'start:stop:step' inclusive integer range."""
+    """'start:stop:step' inclusive integer range; empty is an error."""
     start, stop, step = (int(part) for part in text.split(":"))
-    return list(range(start, stop + 1, step))
+    values = list(range(start, stop + 1, step))
+    if not values:
+        raise ValueError(f"--n-range {text!r} is empty")
+    return values
 
 
 def _parse_grid(text):
-    """'min:max:count' geometric-free linear grid of floats."""
+    """'min:max:count' evenly spaced floats, min to max; count 1 is [min]."""
     lo, hi, count = text.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
-    if count < 2:
+    if count < 1:
+        raise ValueError(f"--zeta-grid count must be at least 1: {text!r}")
+    if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + k * step for k in range(count)]
@@ -362,18 +336,8 @@ def cmd_xxx_trace(args):
         print("error: xxx-trace requires --n, --j1, --j2", file=sys.stderr)
         return EXIT_USAGE
     schedule = [float(part) for part in args.zeta_schedule.split(",")]
-    edge = args.n - 1
-    magnitudes = sorted((abs(args.j1).twice, abs(args.j2).twice))
-    same_sign = (args.j1 < 0) == (args.j2 < 0)
-    if magnitudes[1] != edge or not same_sign or magnitudes[0] % 2 == 0:
-        print(
-            f"error: ({args.j1}, {args.j2}) is not in the infinite family",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     q = QuantumPair(args.j1, args.j2, SolutionClass.INFINITE_FAMILY_REAL)
-    p0 = ChainParams(args.n, schedule[0])
-    trace = trace_divergence(q, p0, schedule)
+    trace = trace_divergence(q, ChainParams(args.n, schedule[0]), schedule)
     records = [
         {
             "zeta": s.zeta,
@@ -440,7 +404,7 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="completeness check against dense ED")
     common(sp)
-    sp.add_argument("--max-dim", type=int, default=None)
+    sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("regime-map", help="regime label over a grid")
@@ -467,13 +431,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # The one place where an exception becomes an exit code; the order
+    # matters, since BoundaryDegenerate and DimensionOverflow are BetheErrors.
     try:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ValueError as exc:
+    except BoundaryDegenerate as exc:
+        print(f"degenerate boundary: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except (ValueError, OSError, DimensionOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BetheError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -170,6 +170,8 @@ class ChainParams:
             raise ValueError("site number must be even and at least 4")
         if not self.zeta > 0:
             raise ValueError("anisotropy parameter must be positive")
+        if not math.isfinite(self.zeta):
+            raise ValueError("anisotropy parameter must be finite")
 
     @property
     def delta(self):

@@ -37,10 +37,15 @@ def small_zeta_bound(n):
 
 
 def _check_family(q: QuantumPair, n):
-    if q.cls is not SolutionClass.INFINITE_FAMILY_REAL:
-        raise ValueError(f"{q} is not a member of the infinite family")
-    if abs(q.j1).twice != n - 1 and abs(q.j2).twice != n - 1:
-        raise ValueError(f"{q} lacks the edge label +-(N-1)/2")
+    """Require an edge label +-(N-1)/2 and a half-odd label of its sign."""
+    smaller, larger = sorted((abs(q.j1).twice, abs(q.j2).twice))
+    if (
+        q.cls is not SolutionClass.INFINITE_FAMILY_REAL
+        or larger != n - 1
+        or (q.j1 < 0) != (q.j2 < 0)
+        or smaller % 2 == 0
+    ):
+        raise ValueError(f"({q.j1}, {q.j2}) is not in the infinite family")
 
 
 def trace_divergence(q: QuantumPair, p0: ChainParams, zeta_schedule):

@@ -184,6 +184,19 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_failed_pair_has_summary_and_no_stderr(self, capsys):
+        # solve reports its failures in the records and the exit code only;
+        # the `failed pairs:` line is solve-all's.
+        code, out, err = run(
+            capsys, "solve", "--n", "16", "--zeta", "0.6",
+            "--j1", "9/2", "--j2", "9/2",
+        )
+        assert code == 4
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["summary"] == {"count": 1, "failed": 1}
+        assert payload["records"][0]["status"] == "error:NoRootOnBranch"
+
     @pytest.mark.parametrize(
         "a,b",
         [
@@ -278,6 +291,19 @@ class TestSolveAll:
         assert batch in loud.stderr
         assert loud.stderr.endswith(quiet.stderr)
 
+    def test_failed_line_names_the_error_records(self, capsys):
+        code, out, err = run(capsys, "solve-all", "--n", "16", "--zeta", "0.6")
+        assert code == 4
+        payload = json.loads(out)
+        errors = [
+            f"({r['j1']},{r['j2']})"
+            for r in payload["records"]
+            if r["status"].startswith("error:")
+        ]
+        assert errors == ["(-9/2,-9/2)", "(9/2,9/2)"]
+        assert payload["summary"] == {"count": 120, "failed": 2}
+        assert err == "failed pairs: " + ", ".join(errors) + "\n"
+
     def test_sorted_by_labels(self, capsys):
         _, out, _ = run(capsys, "solve-all", "--n", "8", "--zeta", "0.6")
         records = json.loads(out)["records"]
@@ -355,6 +381,62 @@ class TestDegenerateBoundary:
         assert err.count("\n") == 1
 
 
+# One case per documented failure exit: (argv, exit code, stderr prefix).
+# "{tmp}" is replaced by a fresh temporary directory.
+EXIT_CASES = {
+    "odd-size": (
+        ["enumerate", "--n", "7", "--zeta", "0.5"], 2,
+        "error: site number must be even",
+    ),
+    "infinite-zeta": (
+        ["enumerate", "--n", "8", "--zeta", "inf"], 2,
+        "error: anisotropy parameter must be finite",
+    ),
+    "non-family-trace": (
+        ["xxx-trace", "--n", "8", "--j1", "1/2", "--j2", "3/2",
+         "--zeta-schedule", "0.3,0.1"], 2,
+        "error: (1/2, 3/2) is not in the infinite family",
+    ),
+    "unwritable-output": (
+        ["enumerate", "--n", "8", "--zeta", "0.6",
+         "--output", "{tmp}/missing/pairs.json"], 2,
+        "error: [Errno 2] No such file or directory",
+    ),
+    "dimension-cap": (
+        ["verify", "--n", "40", "--zeta", "0.6", "--max-dim", "100"], 2,
+        "error: sector dimension 780 exceeds cap 100",
+    ),
+    "degenerate-boundary": (
+        ["enumerate", "--n", "12", "--zeta", repr(_degenerate_zeta())], 3,
+        "degenerate boundary: ",
+    ),
+    "solve-all-partial": (
+        ["solve-all", "--n", "16", "--zeta", "0.6"], 4,
+        "failed pairs: (-9/2,-9/2), (9/2,9/2)",
+    ),
+    "trace-solver-failure": (
+        ["xxx-trace", "--n", "12", "--j1", "11/2", "--j2", "11/2",
+         "--zeta-schedule", "2.0"], 4,
+        "error: counting function never attains 11/2",
+    ),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_documented_exit(self, tmp_path, case):
+        argv, code, prefix = EXIT_CASES[case]
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bethe_xxz.cli", *argv],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(prefix)
+
+
 class TestRegimeMap:
     def test_labels_agree(self, capsys):
         code, out, _ = run(
@@ -365,6 +447,36 @@ class TestRegimeMap:
         payload = json.loads(out)
         assert payload["summary"]["disagreements"] == 0
         assert payload["summary"]["count"] == 25
+
+    @pytest.mark.parametrize(
+        "n_range,zeta_grid,message",
+        [
+            ("8:4:2", "0.1:1.0:2", "--n-range '8:4:2' is empty"),
+            ("8:16:2", "0.1:1.0:0", "count must be at least 1"),
+            ("8:16:2", "0.1:1.0:-3", "count must be at least 1"),
+        ],
+    )
+    def test_empty_axis_is_usage_error(
+        self, capsys, n_range, zeta_grid, message
+    ):
+        code, out, err = run(
+            capsys, "regime-map", "--n-range", n_range,
+            "--zeta-grid", zeta_grid,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_one_point_grid_is_its_lower_end(self, capsys):
+        code, out, _ = run(
+            capsys, "regime-map", "--n-range", "8:12:2",
+            "--zeta-grid", "0.3:1.0:1",
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [(r["n"], r["zeta"]) for r in records] == [
+            (8, 0.3), (10, 0.3), (12, 0.3)
+        ]
 
 
 class TestXxxTrace:
@@ -387,6 +499,19 @@ class TestXxxTrace:
         assert code == 2
         assert "infinite family" in err
 
+    @pytest.mark.parametrize(
+        "j1,j2",
+        [("-1/2", "7/2"), ("2", "7/2"), ("1/2", "5/2")],
+        ids=["mixed-sign", "integer-label", "no-edge-label"],
+    )
+    def test_family_rule_message(self, capsys, j1, j2):
+        code, out, err = run(
+            capsys, "xxx-trace", "--n", "8", f"--j1={j1}", f"--j2={j2}",
+            "--zeta-schedule", "0.3,0.1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: ({j1}, {j2}) is not in the infinite family\n"
+
 
 class TestUsage:
     def test_odd_size_rejected(self, capsys):
@@ -401,6 +526,15 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "solve-all", "verify"])
+    @pytest.mark.parametrize("zeta", ["inf", "-inf", "nan"])
+    def test_non_finite_anisotropy_rejected(self, capsys, command, zeta):
+        code, out, err = run(capsys, command, "--n", "8", f"--zeta={zeta}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: anisotropy parameter must be ")
+        assert err.count("\n") == 1
 
 
 EMIT_COMMANDS = [

@@ -89,6 +89,11 @@ class TestChainParams:
         with pytest.raises(ValueError):
             ChainParams(8, zeta)
 
+    @pytest.mark.parametrize("zeta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_anisotropy(self, zeta):
+        with pytest.raises(ValueError):
+            ChainParams(8, zeta)
+
 
 class TestBaeDefect:
     def test_small_at_solution(self):

@@ -67,3 +67,18 @@ class TestGuards:
         q = QuantumPair(HalfInt(7), HalfInt(1), FAM)
         with pytest.raises(ValueError):
             trace_divergence(q, ChainParams(8, 0.1), [0.1, 0.0])
+
+
+class TestFamilyRule:
+    @pytest.mark.parametrize(
+        "tw1,tw2",
+        [(-1, 7), (4, 7), (1, 5)],
+        ids=["mixed-sign", "integer-label", "no-edge-label"],
+    )
+    def test_rejects_with_cli_message(self, tw1, tw2):
+        q = QuantumPair(HalfInt(tw1), HalfInt(tw2), FAM)
+        with pytest.raises(ValueError) as info:
+            trace_divergence(q, ChainParams(8, 0.3), SCHEDULE)
+        assert str(info.value) == (
+            f"({HalfInt(tw1)}, {HalfInt(tw2)}) is not in the infinite family"
+        )
