@@ -402,7 +402,9 @@ def _build_parser():
     sp.add_argument("--tol-defect", type=_tolerance, default=None)
     sp.set_defaults(func=cmd_solve_all)
 
-    sp = sub.add_parser("verify", help="completeness check against dense ED")
+    sp = sub.add_parser(
+        "verify", help="completeness check against exact diagonalization"
+    )
     common(sp)
     sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sp.set_defaults(func=cmd_verify)

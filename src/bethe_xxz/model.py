@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -16,6 +17,8 @@ import numpy as np
 
 POLE_TOL = 1e-14
 JUMP_THRESHOLD = 1.0  # a larger step between samples is a jump, not a slope
+# The largest zeta whose Delta = cosh(zeta) is a finite float.
+MAX_ZETA = math.acosh(sys.float_info.max)
 
 
 class BetheError(Exception):
@@ -170,8 +173,11 @@ class ChainParams:
             raise ValueError("site number must be even and at least 4")
         if not self.zeta > 0:
             raise ValueError("anisotropy parameter must be positive")
-        if not math.isfinite(self.zeta):
-            raise ValueError("anisotropy parameter must be finite")
+        if not self.zeta <= MAX_ZETA:
+            raise ValueError(
+                f"anisotropy parameter must be finite and at most "
+                f"{MAX_ZETA!r}; cosh(zeta) overflows above it"
+            )
 
     @property
     def delta(self):

@@ -1,12 +1,15 @@
-"""Independent verification by dense exact diagonalization.
+"""Independent verification by exact diagonalization in momentum blocks.
 
-The two down-spin sector is small enough (dimension N(N-1)/2) to
-diagonalize exactly.  Every solved rapidity pair is turned into a
-coordinate-ansatz wavefunction; its Rayleigh quotient must both be an
-eigenvalue of the sector Hamiltonian and leave a tiny eigen-residual.
-Matching the full multiset of energies against the exact spectrum is the
-completeness check.  Only the eigenvalues need the dense matrix; vectors
-are assembled and multiplied by H in O(dim) through a neighbour stencil.
+The two down-spin sector (dimension N(N-1)/2) commutes with translations,
+so it splits into N real tridiagonal blocks, one per total momentum
+K = 2 pi k / N (Karbach & Mueller, arXiv:cond-mat/9809162); the exact
+spectrum is the union of their eigenvalues.  Every solved rapidity pair is
+turned into a coordinate-ansatz wavefunction, assembled in Bloch form
+A(x1, x1 + r) = e^{iK x1} phi(r) from O(N) exponentials; its Rayleigh
+quotient must both be an eigenvalue and leave a tiny eigen-residual in the
+full sector, where H v is an O(dim) neighbour stencil.  Matching the full
+multiset of energies against the exact spectrum is the completeness check.
+No dense matrix is formed unless `SectorHamiltonian.matrix` is read.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import bisect as _bisect
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,8 +34,9 @@ from .model import (
 )
 from .quantum_numbers import enumerate_all
 
-# exact_spectrum diagonalizes the dense float64 matrix, dim^2 * 8 bytes; it
-# is the only dense consumer, so the cap bounds those bytes (dim <= 11585).
+# The dense float64 view `SectorHamiltonian.matrix` takes dim^2 * 8 bytes.
+# Nothing in the package reads it (the spectrum comes from momentum blocks);
+# the cap bounds only that view, for callers that do (dim <= 11585).
 MAX_DENSE_BYTES = 2**30
 DEFAULT_MAX_DIM = math.isqrt(MAX_DENSE_BYTES // 8)
 NORM_TOL = 1e-10
@@ -46,25 +51,34 @@ SINGULAR_EPS = 1e-6
 class SectorHamiltonian:
     """Hamiltonian restricted to two down-spins on a periodic chain.
 
-    `diagonal` and `hops` are the neighbour stencil: row k of `hops` holds
-    the basis indices reached by one hop of amplitude 1/2, padded with
-    `dimension` where a hop is blocked.  `matrix` is the same operator,
-    dense.
+    `diagonal` and `hops` are the neighbour stencil: column j of the
+    (4, dim) array `hops` holds the basis indices reached from state j by
+    one hop of amplitude 1/2, padded with `dimension` where a hop is
+    blocked.  `matrix` is the same operator, dense, built on first read.
     """
 
     n: int
     delta: float
     dimension: int
     basis: tuple  # ordered (x1, x2) with x1 < x2
-    matrix: np.ndarray
     diagonal: np.ndarray
     hops: np.ndarray
 
     def apply(self, v):
         """H v through the stencil, in O(dim)."""
-        # A padding zero absorbs the blocked hops, which point at `dimension`.
+        # One gather of the four hop rows, summed; a padding zero absorbs the
+        # blocked hops, which point at `dimension`.
         padded = np.append(v, 0.0)
-        return self.diagonal * v + 0.5 * padded[self.hops].sum(axis=1)
+        return self.diagonal * v + 0.5 * padded[self.hops].sum(axis=0)
+
+    @cached_property
+    def matrix(self):
+        """Dense H (dim^2 float64), derived from the stencil when read."""
+        h = np.diag(self.diagonal)
+        rows = np.broadcast_to(np.arange(self.dimension), self.hops.shape)
+        open_ = self.hops < self.dimension
+        np.add.at(h, (rows[open_], self.hops[open_]), 0.5)
+        return h
 
 
 @dataclass(frozen=True)
@@ -104,12 +118,34 @@ def _index(n, x1, x2):
     return x1 * (2 * n - x1 - 1) // 2 + x2 - x1 - 1
 
 
+@lru_cache(maxsize=8)
+def _bloch_coordinates(n):
+    """Exponent grids and per-state gather indices of the two Bloch forms.
+
+    Each grid holds the Bloch factor's sites (x1 = 0..N-2, or x2 = 1..N-1)
+    and twice the r = 1..N-1 of phi's two plane waves; x1, x2 - 1 and r - 1
+    index them for each basis state |x1, x2>, in basis order.
+    """
+    x1, x2 = np.triu_indices(n, 1)
+    steps = np.arange(1, n)
+    arrays = (
+        np.stack([steps - 1, steps, steps]),
+        np.stack([steps, steps, steps]),
+        x1,
+        x2 - 1,
+        x2 - x1 - 1,
+    )
+    for array in arrays:  # shared by every caller through the cache
+        array.flags.writeable = False
+    return arrays
+
+
 def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
-    """Sector Hamiltonian over basis states |x1 < x2>, as a stencil and dense.
+    """Sector Hamiltonian over basis states |x1 < x2>, as a stencil.
 
     Each state hops to at most four neighbours, so H v is an O(dim) stencil
-    apply; the dense matrix is derived from the same stencil for
-    exact_spectrum.
+    apply; the dense matrix is derived from the same stencil only when
+    `matrix` is read.
     """
     n = p.n
     dim = n * (n - 1) // 2
@@ -127,29 +163,52 @@ def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
     diagonal = np.where(adjacent, -delta, -2.0 * delta)
     # Hopping: amplitude 1/2 for moving one down-spin across a bond, blocked
     # when the target site holds the other one.
-    a = np.stack([(x1 + 1) % n, (x1 - 1) % n, x1, x1], axis=1)
-    b = np.stack([x2, x2, (x2 + 1) % n, (x2 - 1) % n], axis=1)
+    a = np.stack([(x1 + 1) % n, (x1 - 1) % n, x1, x1])
+    b = np.stack([x2, x2, (x2 + 1) % n, (x2 - 1) % n])
     hops = np.where(
         a == b, dim, _index(n, np.minimum(a, b), np.maximum(a, b))
     )
-    rows = np.broadcast_to(np.arange(dim)[:, None], hops.shape)
-    open_ = hops < dim
-    h = np.diag(diagonal)
-    np.add.at(h, (rows[open_], hops[open_]), 0.5)
     return SectorHamiltonian(
         n=n,
         delta=delta,
         dimension=dim,
         basis=tuple(zip(x1.tolist(), x2.tolist())),
-        matrix=h,
         diagonal=diagonal,
         hops=hops,
     )
 
 
+def momentum_blocks(ham: SectorHamiltonian):
+    """The N real tridiagonal blocks of H, block k at momentum 2 pi k / N.
+
+    Block k acts on the relative distance r = x2 - x1 folded to
+    1 <= r <= N/2.  Its two hops of amplitude 1/2 combine into the link
+    c = |cos(pi k / N)|; for even k the r = N/2 state is its own mirror,
+    so its link carries sqrt(2), and for odd k that state cancels.
+    """
+    n, half = ham.n, ham.n // 2
+    blocks = []
+    for k in range(n):
+        size = half - k % 2
+        block = np.diag(np.full(size, -2.0 * ham.delta))
+        block[0, 0] = -ham.delta
+        links = np.full(size - 1, abs(math.cos(math.pi * k / n)))
+        if k % 2 == 0:
+            links[-1] *= math.sqrt(2.0)
+        r = np.arange(size - 1)
+        block[r, r + 1] = block[r + 1, r] = links
+        blocks.append(block)
+    return blocks
+
+
 def exact_spectrum(ham: SectorHamiltonian):
-    """Sorted eigenvalues of the sector Hamiltonian."""
-    return np.linalg.eigvalsh(ham.matrix)
+    """Sorted eigenvalues of the sector Hamiltonian, block by block."""
+    blocks = momentum_blocks(ham)
+    # Blocks of one parity share a size, so each parity is one stacked call.
+    stacks = [np.stack(blocks[k::2]) for k in (0, 1)]
+    return np.sort(
+        np.concatenate([np.linalg.eigvalsh(stack).ravel() for stack in stacks])
+    )
 
 
 def _momentum(lam, p: ChainParams):
@@ -175,19 +234,34 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
     den = e12 - 2.0 * delta * e1 + 1.0
     if abs(den) < 1e-300 or num == 0:
         raise ZeroVector("scattering amplitude vanished or diverged")
-    x1, x2 = np.triu_indices(p.n, 1)
-    direct = 1j * (p1 * x1 + p2 * x2)
-    exchanged = 1j * (p2 * x1 + p1 * x2) + (cmath.log(-num) - cmath.log(den))
-    # Complex momenta make the plane waves span an exponential range; one
-    # common shift puts the largest term at modulus 1 before exponentiating.
-    shift = max(direct.real.max(), exchanged.real.max())
-    amplitudes = np.exp(direct - shift) + np.exp(exchanged - shift)
+    # Bloch form, with r = x2 - x1 and total momentum K = p1 + p2:
+    #   A = e^{iK x1} (e^{i p2 r} + S e^{i p1 r})
+    #     = e^{iK x2} (e^{-i p1 r} + S e^{-i p2 r}).
+    # Complex momenta make the plane waves span an exponential range, so each
+    # factor is shifted to put its largest term at modulus 1 before
+    # exponentiating.  |e^{iKx}| peaks at x1 = 0 when Im K >= 0 and at
+    # x2 = N - 1 otherwise; every r meets that site, so the largest amplitude
+    # lands at modulus 1 too and `norm` keeps its meaning.
+    k = p1 + p2
+    by_x1, by_x2, x1, x2, r = _bloch_coordinates(p.n)
+    if k.imag >= 0:
+        grid, site, momenta = by_x1, x1, (k, p2, p1)
+    else:
+        grid, site, momenta = by_x2, x2, (k, -p1, -p2)
+    waves = 1j * np.array(momenta)[:, None] * grid
+    waves[2] += cmath.log(-num) - cmath.log(den)
+    top = waves.real.max(axis=1)
+    waves[0] -= top[0]
+    waves[1:] -= max(top[1], top[2])
+    bloch, direct, exchanged = np.exp(waves, out=waves)
+    amplitudes = bloch[site] * (direct + exchanged)[r]
     norm = float(np.linalg.norm(amplitudes))
     if norm < NORM_TOL:
         raise ZeroVector(
             f"assembled wavefunction has norm {norm!r} below {NORM_TOL!r}"
         )
-    return BetheVector(amplitudes=amplitudes / norm, norm=norm)
+    amplitudes /= norm
+    return BetheVector(amplitudes=amplitudes, norm=norm)
 
 
 def rayleigh_energy(vec: BetheVector, ham: SectorHamiltonian):
@@ -208,11 +282,14 @@ def regularized_singular_pair(p: ChainParams, eps=SINGULAR_EPS):
     """
     hz = 0.5j * p.zeta
     # 1/R with R = (sin(i zeta + eps) / sin eps)^N: R overflows at large
-    # N zeta, while 1/R underflows harmlessly to zero.
+    # N zeta, while 1/R underflows harmlessly to zero, and so does d; the
+    # sin(2 i zeta) of the formula would overflow from zeta of about 355.
     inv_r = (cmath.sin(eps) / cmath.sin(2.0 * hz + eps)) ** p.n
-    d = cmath.atan(
-        cmath.sin(4.0 * hz) * inv_r / (1.0 - cmath.cos(4.0 * hz) * inv_r)
-    )
+    d = 0.0
+    if inv_r != 0:
+        d = cmath.atan(
+            cmath.sin(4.0 * hz) * inv_r / (1.0 - cmath.cos(4.0 * hz) * inv_r)
+        )
     lam1 = hz + eps
     lam2 = -hz + eps - d
     return RapidityPair(

@@ -75,6 +75,9 @@ def trace_divergence(q: QuantumPair, p0: ChainParams, zeta_schedule):
             else:
                 sol = solve_pair(q, p)
         except BetheError as exc:
+            # Name the sample's zeta unless the solver message already does.
+            if f"zeta={zeta!r}" in str(exc):
+                raise
             raise type(exc)(f"{exc} (at zeta={zeta!r})") from exc
         lam1, lam2 = sorted(
             (sol.lambda1.real, sol.lambda2.real), key=abs, reverse=True

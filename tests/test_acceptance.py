@@ -103,7 +103,7 @@ def test_02_printed_scalars(capsys):
 
 
 def test_03_completeness_against_exact_diagonalization(capsys):
-    """Every Rayleigh energy matches the dense spectrum at four points."""
+    """Every Rayleigh energy matches the exact spectrum at four points."""
     start = time.perf_counter()
     worst_err = worst_res = 0.0
     for n, zeta in [(4, 1.0), (8, 0.6), (12, 0.52), (12, 0.57)]:

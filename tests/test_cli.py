@@ -392,6 +392,17 @@ EXIT_CASES = {
         ["enumerate", "--n", "8", "--zeta", "inf"], 2,
         "error: anisotropy parameter must be finite",
     ),
+    "huge-zeta-verify": (
+        ["verify", "--n", "8", "--zeta", "711"], 2,
+        "error: anisotropy parameter must be finite and at most "
+        "710.4758600739439",
+    ),
+    "huge-zeta-solve": (
+        ["solve", "--n", "8", "--zeta", "711", "--j1", "1/2", "--j2", "3/2"],
+        2,
+        "error: anisotropy parameter must be finite and at most "
+        "710.4758600739439",
+    ),
     "non-family-trace": (
         ["xxx-trace", "--n", "8", "--j1", "1/2", "--j2", "3/2",
          "--zeta-schedule", "0.3,0.1"], 2,

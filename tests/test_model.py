@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bethe_xxz.model import (
+    MAX_ZETA,
     ChainParams,
     HalfInt,
     NegativeTanSquare,
@@ -93,6 +94,14 @@ class TestChainParams:
     def test_rejects_non_finite_anisotropy(self, zeta):
         with pytest.raises(ValueError):
             ChainParams(8, zeta)
+
+    def test_zeta_bound_is_where_cosh_overflows(self):
+        assert ChainParams(8, MAX_ZETA).delta == math.cosh(MAX_ZETA)
+        above = math.nextafter(MAX_ZETA, math.inf)
+        with pytest.raises(OverflowError):
+            math.cosh(above)
+        with pytest.raises(ValueError, match="cosh\\(zeta\\) overflows"):
+            ChainParams(8, above)
 
 
 class TestBaeDefect:

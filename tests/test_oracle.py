@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethe_xxz.dispatch import solve_quantum_pair
+from bethe_xxz import oracle
+from bethe_xxz.dispatch import solve_quantum_pair, solve_quantum_pairs
 from bethe_xxz.model import (
+    BetheError,
     ChainParams,
     DimensionOverflow,
     HalfInt,
@@ -21,14 +23,19 @@ from bethe_xxz.model import (
 )
 from bethe_xxz.height_solver import solve_pair
 from bethe_xxz.oracle import (
+    ENERGY_RTOL,
+    RESIDUAL_TOL,
+    BetheVector,
     bethe_vector,
     build_hamiltonian,
     completeness_check,
     exact_spectrum,
+    momentum_blocks,
     rayleigh_energy,
     regularized_singular_pair,
     singular_vector,
 )
+from bethe_xxz.quantum_numbers import enumerate_all
 
 P86 = ChainParams(8, 0.6)
 
@@ -66,6 +73,25 @@ class TestHamiltonian:
             [0.0, 0.5, 0.0, 0.0, 0.5, -d],
         ]
         assert np.array_equal(ham.matrix, np.array(expected))
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 14])
+    def test_dense_view_equals_per_state_reference(self, n):
+        # Built state by state: -delta/2 per anti-aligned bond, 1/2 per hop
+        # of one down-spin to an empty neighbouring site.
+        p = ChainParams(n, 0.6)
+        ham = build_hamiltonian(p)
+        idx = {conf: k for k, conf in enumerate(ham.basis)}
+        expected = np.zeros((ham.dimension, ham.dimension))
+        for (x1, x2), k in idx.items():
+            down = {x1, x2}
+            bonds = sum((x in down) != ((x + 1) % n in down) for x in range(n))
+            expected[k, k] = -p.delta * bonds / 2
+            for mover, other in ((x1, x2), (x2, x1)):
+                for step in (1, -1):
+                    target = (mover + step) % n
+                    if target != other:
+                        expected[k, idx[tuple(sorted((target, other)))]] = 0.5
+        assert np.array_equal(ham.matrix, expected)
 
     def test_symmetric(self):
         for n in (4, 8, 14):
@@ -105,6 +131,56 @@ class TestHamiltonian:
             build_hamiltonian(ChainParams(200, 1.0))
 
 
+class TestMomentumBlocks:
+    @pytest.mark.parametrize("zeta", [1e-3, 0.05, 0.6, 2.0, 5.0])
+    @pytest.mark.parametrize("n", range(4, 31, 2))
+    def test_block_spectrum_equals_dense(self, n, zeta):
+        ham = build_hamiltonian(ChainParams(n, zeta))
+        assert sum(len(block) for block in momentum_blocks(ham)) == (
+            ham.dimension
+        )
+        dense = np.linalg.eigvalsh(ham.matrix)
+        spec = exact_spectrum(ham)
+        assert np.all(
+            np.abs(spec - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense))
+        )
+
+    def test_block_shapes(self):
+        ham = build_hamiltonian(ChainParams(10, 0.6))
+        blocks = momentum_blocks(ham)
+        assert [len(block) for block in blocks] == [5, 4] * 5
+        for block in blocks:
+            assert np.array_equal(block, block.T)
+            assert np.array_equal(block, np.triu(np.tril(block, 1), -1))
+
+
+class TestNoDenseMatrix:
+    """The oracle's own paths never build the dense view."""
+
+    def test_exact_spectrum(self):
+        ham = build_hamiltonian(P86)
+        exact_spectrum(ham)
+        assert "matrix" not in vars(ham)
+
+    def test_completeness_check(self, monkeypatch):
+        built = []
+        build = oracle.build_hamiltonian
+
+        def recording(p, **kwargs):
+            built.append(build(p, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+        completeness_check(ChainParams(12, 0.57))
+        (ham,) = built
+        assert "matrix" not in vars(ham)
+
+    def test_matrix_built_once_on_read(self):
+        ham = build_hamiltonian(P86)
+        assert ham.matrix is ham.matrix
+        assert "matrix" in vars(ham)
+
+
 def _reference_amplitudes(pair, p):
     """Unshifted assembly, one plane-wave product per basis state."""
     hz = 0.5j * p.zeta
@@ -127,6 +203,33 @@ def _reference_amplitudes(pair, p):
     return np.array(amplitudes)
 
 
+def _outer_sum_vector(pair, p):
+    """Amplitudes from the full (x1, x2) exponents, one common shift."""
+    hz = 0.5j * p.zeta
+    p1, p2 = (
+        -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
+        for lam in (pair.lambda1, pair.lambda2)
+    )
+    e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
+    num = e1 * e2 - 2.0 * p.delta * e2 + 1.0
+    den = e1 * e2 - 2.0 * p.delta * e1 + 1.0
+    x1, x2 = np.triu_indices(p.n, 1)
+    direct = 1j * (p1 * x1 + p2 * x2)
+    exchanged = 1j * (p2 * x1 + p1 * x2) + (cmath.log(-num) - cmath.log(den))
+    shift = max(direct.real.max(), exchanged.real.max())
+    amplitudes = np.exp(direct - shift) + np.exp(exchanged - shift)
+    norm = float(np.linalg.norm(amplitudes))
+    return BetheVector(amplitudes=amplitudes / norm, norm=norm)
+
+
+def _passes(vec, ham, spectrum):
+    """Whether a vector meets ENERGY_RTOL and RESIDUAL_TOL, and its energy."""
+    energy, residual = rayleigh_energy(vec, ham)
+    nearest = spectrum[np.argmin(np.abs(spectrum - energy))]
+    err = abs(energy - nearest) / max(1.0, abs(nearest))
+    return (err <= ENERGY_RTOL and residual <= RESIDUAL_TOL), energy
+
+
 class TestBetheVector:
     @pytest.mark.parametrize(
         "n,j1,j2,cls",
@@ -146,6 +249,9 @@ class TestBetheVector:
         a = bethe_vector(sol, p).amplitudes
         b = _reference_amplitudes(sol, p)
         assert abs(abs(np.vdot(a, b)) / np.linalg.norm(b) - 1.0) < 1e-12
+        # Both assemblies only rescale by positive reals, so the Bloch form
+        # equals the normalized reference amplitude by amplitude.
+        assert np.max(np.abs(a - b / np.linalg.norm(b))) <= 1e-12
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_singular_rapidity_is_zero_vector(self, sign):
@@ -184,6 +290,54 @@ class TestBetheVector:
         assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-10
 
 
+class TestBlochForm:
+    """The Bloch-form assembly against the per-state and outer-sum ones."""
+
+    @pytest.mark.parametrize("n,zeta", [(22, 1e-3), (48, 2.0)])
+    def test_every_solved_pair(self, n, zeta):
+        p = ChainParams(n, zeta)
+        ham = build_hamiltonian(p)
+        spectrum = exact_spectrum(ham)
+        dense = np.linalg.eigvalsh(ham.matrix)
+        pairs = enumerate_all(p)
+        checked = 0
+        for q, sol in zip(pairs, solve_quantum_pairs(pairs, p)):
+            if isinstance(sol, BetheError) or q.cls is SolutionClass.SINGULAR:
+                continue
+            b = _reference_amplitudes(sol, p)
+            vec = bethe_vector(sol, p)
+            assert np.max(np.abs(vec.amplitudes - b / np.linalg.norm(b))) <= (
+                1e-12
+            ), (q.j1, q.j2)
+            old = _outer_sum_vector(sol, p)
+            assert vec.norm == pytest.approx(old.norm, rel=1e-12)
+            passes, energy = _passes(vec, ham, spectrum)
+            old_passes, old_energy = _passes(old, ham, dense)
+            assert passes == old_passes, (q.j1, q.j2)
+            assert energy == pytest.approx(old_energy, rel=1e-14, abs=1e-14)
+            checked += 1
+        assert checked > 0.9 * ham.dimension
+
+    @pytest.mark.parametrize(
+        "lam1,lam2",
+        [
+            (0.3 + 0.2j, -0.4 + 0.05j),
+            (0.05 + 0.299j, 0.7 + 0.1j),
+            (0.3 - 0.2j, -0.4 - 0.05j),
+            (0.3 - 0.29j, 0.1 - 0.25j),
+        ],
+    )
+    def test_complex_total_momentum(self, lam1, lam2):
+        # Not a conjugate pair, so Im K != 0 (either sign) and |e^{iKx}|
+        # spans e^{+-50} or more over the chain.
+        p = ChainParams(64, 0.6)
+        pair = RapidityPair(lam1, lam2, None, 0)
+        vec = bethe_vector(pair, p)
+        old = _outer_sum_vector(pair, p)
+        assert vec.norm == pytest.approx(old.norm, rel=1e-12)
+        assert np.max(np.abs(vec.amplitudes - old.amplitudes)) <= 1e-12
+
+
 class TestSingularState:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_closed_form_vector_is_exact(self, n):
@@ -206,6 +360,37 @@ class TestSingularState:
             vec = bethe_vector(regularized_singular_pair(p), p)
             energy, _ = rayleigh_energy(vec, ham)
             assert energy == pytest.approx(-p.delta, rel=1e-14), (n, zeta)
+
+
+class TestRegularizedSingularPair:
+    @staticmethod
+    def _formula(p, eps=oracle.SINGULAR_EPS):
+        """The displaced pair as formed before the underflow guard."""
+        hz = 0.5j * p.zeta
+        inv_r = (cmath.sin(eps) / cmath.sin(2.0 * hz + eps)) ** p.n
+        d = cmath.atan(
+            cmath.sin(4.0 * hz) * inv_r / (1.0 - cmath.cos(4.0 * hz) * inv_r)
+        )
+        return hz + eps, -hz + eps - d
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(8, 0.6), (16, 0.6), (48, 2.0), (100, 1.0), (8, 300.0)]
+    )
+    def test_bit_identical_where_formula_returns(self, n, zeta):
+        p = ChainParams(n, zeta)
+        pair = regularized_singular_pair(p)
+        assert (pair.lambda1, pair.lambda2) == self._formula(p)
+
+    @pytest.mark.parametrize("zeta", [400.0, 710.0])
+    def test_huge_zeta_has_no_displacement(self, zeta):
+        # sin(2 i zeta) overflows here, but 1/R has long underflowed to 0.
+        p = ChainParams(8, zeta)
+        with pytest.raises(OverflowError):
+            self._formula(p)
+        pair = regularized_singular_pair(p)
+        hz = 0.5j * zeta
+        assert pair.lambda1 == hz + oracle.SINGULAR_EPS
+        assert pair.lambda2 == -hz + oracle.SINGULAR_EPS
 
 
 class TestCompleteness:

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from bethe_xxz.model import ChainParams, HalfInt, QuantumPair, SolutionClass
+from bethe_xxz import xxx_limit
+from bethe_xxz.model import (
+    ChainParams,
+    HalfInt,
+    NoRealSolution,
+    NoRootInBracket,
+    QuantumPair,
+    SolutionClass,
+)
 from bethe_xxz.xxx_limit import small_zeta_bound, trace_divergence
 
 FAM = SolutionClass.INFINITE_FAMILY_REAL
@@ -67,6 +75,24 @@ class TestGuards:
         q = QuantumPair(HalfInt(7), HalfInt(1), FAM)
         with pytest.raises(ValueError):
             trace_divergence(q, ChainParams(8, 0.1), [0.1, 0.0])
+
+
+class TestSolverFailure:
+    def test_message_names_zeta_once(self):
+        # The equal-label solver's own message already names zeta.
+        with pytest.raises(NoRealSolution) as info:
+            _trace(12, 11, 11, [2.0])
+        assert str(info.value).count("zeta=2.0") == 1
+        assert "(at zeta=" not in str(info.value)
+
+    def test_message_without_zeta_gains_it(self, monkeypatch):
+        def failing(q, p):
+            raise NoRootInBracket("no root")
+
+        monkeypatch.setattr(xxx_limit, "solve_pair", failing)
+        with pytest.raises(NoRootInBracket) as info:
+            _trace(8, 7, 1, [0.3])
+        assert str(info.value) == "no root (at zeta=0.3)"
 
 
 class TestFamilyRule:
