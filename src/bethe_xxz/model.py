@@ -17,8 +17,9 @@ import numpy as np
 
 POLE_TOL = 1e-14
 JUMP_THRESHOLD = 1.0  # a larger step between samples is a jump, not a slope
-# The largest zeta whose Delta = cosh(zeta) is a finite float.
-MAX_ZETA = math.acosh(sys.float_info.max)
+# The largest zeta whose 2 Delta = 2 cosh(zeta), the sector Hamiltonian's
+# diagonal, is a finite float.
+MAX_ZETA = math.acosh(sys.float_info.max / 2.0)
 
 
 class BetheError(Exception):
@@ -176,7 +177,7 @@ class ChainParams:
         if not self.zeta <= MAX_ZETA:
             raise ValueError(
                 f"anisotropy parameter must be finite and at most "
-                f"{MAX_ZETA!r}; cosh(zeta) overflows above it"
+                f"{MAX_ZETA!r}; 2 cosh(zeta) overflows above it"
             )
 
     @property
@@ -277,6 +278,8 @@ def bae_defect(lambda1, lambda2, p):
     logarithmic-form solvers.  The difference is normalized by
     max(1, |LHS|, |RHS|): wide strings at strong anisotropy have both sides
     of order e^(N zeta), where the absolute difference measures nothing.
+    A side that overflows also raises PoleEncountered: the pair then sits
+    numerically on a pole.
     """
     hz = 0.5j * p.zeta
     defect = 0.0
@@ -287,8 +290,13 @@ def bae_defect(lambda1, lambda2, p):
             raise PoleEncountered(
                 "product-form denominator vanishes (singular solution?)"
             )
-        lhs = (cmath.sin(lam + hz) / den_one) ** p.n
-        rhs = cmath.sin(lam - other + 2 * hz) / den_two
+        try:
+            lhs = (cmath.sin(lam + hz) / den_one) ** p.n
+            rhs = cmath.sin(lam - other + 2 * hz) / den_two
+        except OverflowError:
+            raise PoleEncountered(
+                "product-form side overflows (near a pole)"
+            ) from None
         scale = max(1.0, abs(lhs), abs(rhs))
         defect = max(defect, abs(lhs - rhs) / scale)
     return defect

@@ -33,6 +33,7 @@ from .model import (
     ZeroVector,
 )
 from .quantum_numbers import enumerate_all
+from .string_solver import bound_state_momenta
 
 # The dense float64 view `SectorHamiltonian.matrix` takes dim^2 * 8 bytes.
 # Nothing in the package reads it (the spectrum comes from momentum blocks);
@@ -219,21 +220,34 @@ def _momentum(lam, p: ChainParams):
     return -1j * cmath.log(num / den)
 
 
-def bethe_vector(pair: RapidityPair, p: ChainParams):
-    """Two-magnon coordinate-ansatz amplitudes for a rapidity pair."""
+def _momenta(pair: RapidityPair, p: ChainParams):
+    """Momenta p1, p2 of a pair and the log of its scattering factor S.
+
+    With amplitudes e^{i(p1 x1 + p2 x2)} + S e^{i(p2 x1 + p1 x2)} on
+    x1 < x2, periodicity fixes S = e^{i N p2}.  A bound state takes its
+    momenta from its block root: from lambda, S is a ratio of two nearly
+    vanishing terms.  Other pairs take their momenta from lambda, with S
+    from the two-body scattering amplitude, which carries the momentum of
+    the particle crossing from the right (p2) in the numerator.
+    """
+    momenta = bound_state_momenta(pair, p)
+    if momenta is not None:
+        p1, p2 = momenta
+        return p1, p2, 1j * p.n * p2
     p1 = _momentum(pair.lambda1, p)
     p2 = _momentum(pair.lambda2, p)
     e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
     e12 = e1 * e2
-    delta = p.delta
-    # With amplitudes e^{i(p1 x1 + p2 x2)} + S e^{i(p2 x1 + p1 x2)} on
-    # x1 < x2, the scattering factor must carry the momentum of the particle
-    # crossing from the right, i.e. p2 in the numerator (equivalently
-    # S = e^{i p1 N} by periodicity).
-    num = e12 - 2.0 * delta * e2 + 1.0
-    den = e12 - 2.0 * delta * e1 + 1.0
+    num = e12 - 2.0 * p.delta * e2 + 1.0
+    den = e12 - 2.0 * p.delta * e1 + 1.0
     if abs(den) < 1e-300 or num == 0:
         raise ZeroVector("scattering amplitude vanished or diverged")
+    return p1, p2, cmath.log(-num) - cmath.log(den)
+
+
+def bethe_vector(pair: RapidityPair, p: ChainParams):
+    """Two-magnon coordinate-ansatz amplitudes for a rapidity pair."""
+    p1, p2, log_s = _momenta(pair, p)
     # Bloch form, with r = x2 - x1 and total momentum K = p1 + p2:
     #   A = e^{iK x1} (e^{i p2 r} + S e^{i p1 r})
     #     = e^{iK x2} (e^{-i p1 r} + S e^{-i p2 r}).
@@ -249,7 +263,7 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
     else:
         grid, site, momenta = by_x2, x2, (k, -p1, -p2)
     waves = 1j * np.array(momenta)[:, None] * grid
-    waves[2] += cmath.log(-num) - cmath.log(den)
+    waves[2] += log_s
     top = waves.real.max(axis=1)
     waves[0] -= top[0]
     waves[1:] -= max(top[1], top[2])
@@ -265,11 +279,17 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
 
 
 def rayleigh_energy(vec: BetheVector, ham: SectorHamiltonian):
-    """Rayleigh quotient and relative eigen-residual of a unit vector."""
+    """Rayleigh quotient and relative eigen-residual of a unit vector.
+
+    The residual |H v - E v| is divided by max(1, |E|), as the energy error
+    is: at strong anisotropy H scales like Delta, and the unscaled residual
+    measures only its rounding (or overflows in the norm).
+    """
     v = vec.amplitudes
     hv = ham.apply(v)
     energy = float(np.real(np.vdot(v, hv)))
-    residual = float(np.linalg.norm(hv - energy * v))
+    scale = max(1.0, abs(energy))
+    residual = float(np.linalg.norm((hv - energy * v) / scale))
     return energy, residual
 
 

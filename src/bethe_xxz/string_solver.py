@@ -1,18 +1,32 @@
-"""Complex two-string solutions via the complex counting function.
+"""Complex two-strings as the bound states of the momentum blocks.
 
-A complex pair is a conjugate string lambda = x +- i(zeta/2 + delta).  The
-substitution w = tanh(zeta/2 + delta)/tanh(zeta/2) turns the equations into
-a quadratic for tan^2 x whose physical root feeds a scalar counting function
-of w; the narrow branch (w < 1) is decreasing and the wide branch (w > 1)
-increasing, so each quantum-number target is found by a bracketed bisection.
+The sector commutes with translations.  In the block of total momentum
+K = 2 pi k / N, with k = -(J1 + J2) mod N, a conjugate pair is the
+two-magnon bound state (Karbach & Mueller, arXiv:cond-mat/9809162): momenta
+p = a -+ i v with cos a = c = |cos(pi k / N)|, and relative amplitude
+e^{-v r} + s e^{-v (N - r)}, s = (-1)^k.  The hard-core condition at r = 1
+reads
+
+    e^{-v} = e^{-v_inf} (1 + s e^{-N v}) - s e^{-(N-1) v},
+    v_inf = log(Delta / c),
+
+so v exceeds v_inf by an exponentially small eps, negative for odd k
+(narrow pairs and the extra two-string) and positive for even k (wide
+pairs, and in block 0 the string centered on the domain edge).  eps is
+carried in log form (Hagemans & Caux, J. Phys. A 40 (2007) 14605): one
+bisection on log|eps| per pair, after which tan(lambda) =
+tanh(zeta/2) cot(p/2) gives the rapidities.
+
+The paper's counting function Z1 of the string width
+w = tanh(zeta/2 + delta)/tanh(zeta/2) stays as the label check: where w is
+resolvable, N Z1(w) equals the smaller label at a solution.
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from enum import Enum
-
-import numpy as np
 
 from .model import (
     ChainParams,
@@ -23,22 +37,12 @@ from .model import (
     RapidityPair,
     SolutionClass,
     ToleranceNotReached,
-    bae_defect,
     bisect_monotone,
-    first_grid_root,
-    geometric_grid,
 )
 
 DEFAULT_DEFECT_TOL = 1e-8
-GRID_POINTS = 4096
-NARROW_W_MIN = 1e-6
-NARROW_W_MAX = 1.0 - 1e-9
-WIDE_W_MIN = 1.0 + 1e-9
-WIDE_CAP_MARGIN = 1.0 - 1e-12
-# Grid points whose N*Z1 - J lies this close to zero also open a candidate
-# bracket: the grid evaluation agrees with the scalar one only to rounding,
-# so its sign is not trusted there.
-SIGN_GUARD = 1e-9
+# Below log|y| = -40, log1p(y) equals y to a relative 1e-18.
+LOG_LINEAR = -40.0
 
 log = logging.getLogger(__name__)
 
@@ -51,11 +55,6 @@ class Branch(Enum):
 def delta_of_w(w, p: ChainParams):
     """String deviation delta for a given w; requires w*t < 1."""
     return math.atanh(w * p.t) - 0.5 * p.zeta
-
-
-def wide_w_cap(p: ChainParams):
-    """Largest usable w on the wide branch (keeps atanh(w t) finite)."""
-    return WIDE_CAP_MARGIN / p.t
 
 
 def _quadratic_coeffs(w, p: ChainParams):
@@ -136,84 +135,151 @@ def z1(w, p: ChainParams):
     )
 
 
-def _tan2x_grid(w, p: ChainParams):
-    """tan2x_of_w over an array of w; NaN where the scalar code raises."""
-    t2 = p.t * p.t
-    wt2 = w * t2
-    w2t2 = w * w * t2
-    log_r1_num = np.where(
-        w < 1.0, np.log1p(-w), np.log(w - 1.0)
-    ) + np.log1p(-wt2)
-    log_r2_num = np.log1p(w) + np.log1p(wt2)
-    d = (2.0 / p.n) * (log_r1_num - log_r2_num)
-    r2 = np.exp((2.0 / p.n) * (log_r2_num - np.log1p(w2t2)))
-    em = np.expm1(d)
-    a = w * w * r2 * ((1.0 + wt2) ** 2 * em + 4.0 * w * t2)
-    p_b = (1.0 - w * wt2) ** 2 / t2 + 2.0 * w * (1.0 + w) * (1.0 + wt2)
-    b = r2 * (p_b * em + 4.0 * w * (1.0 + w2t2))
-    c = r2 * ((1.0 + w) ** 2 * em + 4.0 * w)
-    root = np.sqrt(b * b - 4.0 * a * c)
-    value = np.where(b > 0.0, (-b - root) / (2.0 * a), (2.0 * c) / (-b + root))
-    value[value < 0.0] = np.nan
-    return value
+def _log_delta(zeta):
+    """(log Delta, zeta - log Delta), with neither cancelling nor overflowing."""
+    if zeta < 1.0:
+        log_delta = math.log1p(2.0 * math.sinh(0.5 * zeta) ** 2)
+        return log_delta, zeta - log_delta
+    gap = math.log(2.0) - math.log1p(math.exp(-2.0 * zeta))
+    return zeta - gap, gap
 
 
-def n_z1_grid(w, p: ChainParams):
-    """N*Z1 over an array of w; NaN where the scalar z1 raises.
+def _log_link(k, n):
+    """log c for c = |cos(pi k / N)|, accurate also for c near 1 or near 0."""
+    m = min(k, n - k)
+    if 4 * m <= n:
+        return math.log1p(-2.0 * math.sin(0.5 * math.pi * m / n) ** 2)
+    return math.log(math.sin(0.5 * math.pi * (n - 2 * m) / n))
 
-    Repeats _quadratic_coeffs, tan2x_of_w and z1 operation for operation,
-    so each entry agrees with p.n * z1(w, p) to rounding.  A point is NaN
-    exactly where the scalar code raises NegativeDiscriminant or
-    NegativeTanSquare.
+
+def _block_momentum(k, n):
+    """Real part a of block k's bound-state momenta: K/2 folded so cos a >= 0."""
+    return math.pi * k / n if 2 * k <= n else -math.pi * (n - k) / n
+
+
+def bound_state_momenta(pair: RapidityPair, p: ChainParams):
+    """Momenta (p1, p2) = (a - i v, a + i v) of a pair solved here, else None.
+
+    They are rebuilt from the k and v in branch_meta; a mirrored pair has
+    the negated momenta of its partner.
     """
-    t = p.t
-    t2 = t * t
-    with np.errstate(all="ignore"):
-        tan2 = _tan2x_grid(w, p)
-        den = 1.0 + tan2 * w * w * t2
-        a = np.sqrt(tan2) * (1.0 - w * w * t2) / (t * den)
-        b = (1.0 + tan2) * w / den
-        delta = np.arctanh(w * t) - 0.5 * p.zeta
-        z = (
-            (0.5 / math.pi) * np.arctan(a / (1.0 - b))
-            + (0.5 / math.pi) * np.arctan(a / (1.0 + b))
-            + 0.5 * ((b - 1.0 > 0.0) + 2.0 * ((1.0 - b > 0.0) & (-a > 0.0)))
-            - 0.5 * (delta > 0.0) / p.n
-        )
-    return p.n * z
+    meta = pair.branch_meta
+    if "k" not in meta:
+        return None
+    p2 = complex(_block_momentum(meta["k"], p.n), meta["v"])
+    if meta.get("mirrored"):
+        return -p2.conjugate(), -p2
+    return p2.conjugate(), p2
 
 
-def branch_grid(branch: Branch, p: ChainParams):
-    """The GRID_POINTS geometric w grid scanned on a branch, lo to hi."""
-    if branch is Branch.NARROW:
-        return geometric_grid(NARROW_W_MIN, NARROW_W_MAX, GRID_POINTS)
-    return geometric_grid(WIDE_W_MIN, wide_w_cap(p), GRID_POINTS)
+def _log_excess(v, n, s):
+    """log|eps| for the excess eps that the bound-state equation gives at v > 0.
 
-
-def _solve_on_branch(target_j: float, branch: Branch, p: ChainParams):
-    """Bisect N*Z1 = target_j on the requested branch; returns w.
-
-    N*Z1 - target_j is sampled over the branch grid in one numpy pass and
-    its brackets are bisected in grid order with the scalar z1.
+    The equation rearranges to eps = log1p(y), with
+    y = -s e^{-(N-2) v} expm1(-2 v) / (1 + s e^{-N v}) of sign s; log|y| is
+    formed first, since e^{-(N-2) v} underflows once N v passes about 700.
     """
+    if s > 0:
+        log_den = math.log1p(math.exp(-n * v))
+    else:
+        log_den = math.log(-math.expm1(-n * v))
+    log_y = -(n - 2) * v + math.log(-math.expm1(-2.0 * v)) - log_den
+    if log_y < LOG_LINEAR:
+        return log_y
+    return math.log(abs(math.log1p(math.copysign(math.exp(log_y), s))))
 
-    def shifted(w):
-        return p.n * z1(w, p) - target_j
 
-    grid = branch_grid(branch, p)
-    root, _, brackets, jumps = first_grid_root(
-        shifted, grid, n_z1_grid(grid, p) - target_j,
-        xtol=1e-16, accept=1e-6, guard=SIGN_GUARD,
+def _rapidity(a, v, h, zeta):
+    """The rapidity of momentum a + i v (v > 0, |a| < pi/2); h = zeta - v.
+
+    tan(lambda) = tanh(zeta/2) cot(p/2) is, with g = e^{-zeta} and
+    q = e^{ip}, lambda = (i/2) log((g - q) / (1 - g q)) mod pi.  Writing
+    g - q = e^{-zeta} (1 - e^{ia + h}) keeps it exact at large zeta, where
+    g and |q| are both far below the rounding of 1.  The two logs take
+    arguments whose imaginary parts have the sign of -a, so the principal
+    values put Re lambda in (-pi/2, pi/2], at pi/2 for a = 0.
+    """
+    grow = math.exp(h)
+    one_minus = complex(
+        2.0 * grow * math.sin(0.5 * a) ** 2 - math.expm1(h),
+        -grow * math.sin(a),
     )
-    outcome = "no root" if root is None else f"root w={root!r}"
-    log.debug("%s branch, J=%r: brackets %s, jumps %s, %s",
-              branch.value, target_j, brackets, jumps, outcome)
-    if root is None:
+    log_ratio = cmath.log(one_minus) - cmath.log(
+        1.0 - cmath.exp(complex(-zeta - v, a))
+    )
+    return complex(-0.5 * log_ratio.imag, 0.5 * (log_ratio.real - zeta))
+
+
+def _bound_state(k, p: ChainParams, branch, method, defect_tol):
+    """The bound state of block k as a conjugate rapidity pair.
+
+    Bisects u = log|eps| on u - log|eps(v_inf + s e^u)|, whose sign rises
+    through the one root (v - eps(v) increases with v): for even k below
+    u = log log 2, since eps(v) < log 2 for every v; for odd k below
+    u = log v_inf (v = 0), where an odd block has a bound state only if
+    v_inf > log(N / (N - 2)).
+    """
+    n = p.n
+    s = 1 if k % 2 == 0 else -1
+    if 2 * k == n:
         raise NoRootOnBranch(
-            f"N*Z1 never attains {target_j!r} on the {branch.value} branch "
-            f"(N={p.n}, zeta={p.zeta})"
+            f"block k={k} has c = 0: its top state is the singular pair"
         )
-    return root
+    log_delta, gap = _log_delta(p.zeta)
+    log_c = _log_link(k, n)
+    v_inf = log_delta - log_c
+
+    def sign_gap(u):
+        v = v_inf + s * math.exp(u)
+        if v <= 0.0:
+            return 1.0
+        return u - _log_excess(v, n, s)
+
+    if s > 0:
+        hi, f_hi = math.log(math.log(2.0)), None
+    else:
+        if v_inf <= math.log1p(2.0 / (n - 2)):
+            raise NoRootOnBranch(
+                f"block k={k} has no bound state (N={n}, zeta={p.zeta})"
+            )
+        hi, f_hi = math.log(v_inf), 1.0
+    # u < log|eps(v)| there: for odd k because |eps(v)| grows as v falls,
+    # for even k as checked at every block of even N 4-400, zeta 1e-4 to
+    # MAX_ZETA.
+    lo = min(_log_excess(v_inf, n, s), hi) - 1.0
+    log_eps, steps = bisect_monotone(
+        sign_gap, lo, hi, f_hi=f_hi, xtol=0.0, max_iter=200
+    )
+    eps = math.copysign(math.exp(log_eps), s)
+    v = v_inf + eps
+    if not v > 0.0:
+        raise NoRootOnBranch(
+            f"block k={k} bound state collapsed to v = {v!r} "
+            f"(N={n}, zeta={p.zeta})"
+        )
+    residual = abs(math.expm1(_log_excess(v, n, s) - log_eps))
+    log.debug(
+        "%s bound state, k=%d: v=%r, log|eps|=%r after %d steps, residual %r",
+        branch.value, k, v, log_eps, steps, residual,
+    )
+    if residual > defect_tol:
+        raise ToleranceNotReached(
+            f"defect {residual!r} above {defect_tol!r} in block k={k}"
+        )
+    lam2 = _rapidity(_block_momentum(k, n), v, gap + log_c - eps, p.zeta)
+    return RapidityPair(
+        lambda1=lam2.conjugate(),
+        lambda2=lam2,
+        residual=residual,
+        iterations=steps,
+        branch_meta={
+            "method": method,
+            "branch": branch.value,
+            "k": k,
+            "v": v,
+            "log_eps": log_eps,
+        },
+    )
 
 
 _BRANCH_BY_CLASS = {
@@ -224,10 +290,10 @@ _BRANCH_BY_CLASS = {
 
 
 def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
-    """Solve a complex conjugate pair for its quantum-number label.
+    """Solve a complex conjugate pair as the bound state of its block.
 
-    Narrow pairs and the extra two-string live on w < 1; wide pairs on
-    w > 1 with the smaller label of (J, J+1) as the counting target.
+    The block is k = -(J1 + J2) mod N.  Negative labels are solved as the
+    mirror of their positive partners.
     """
     branch = _BRANCH_BY_CLASS.get(q.cls)
     if branch is None:
@@ -235,100 +301,19 @@ def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL)
     if q.j1 < 0 or (q.j1 == 0 and q.j2 < 0):
         mirror = solve_complex(q.negated(), p, defect_tol=defect_tol)
         return mirror.negated()
-    target = float(min(abs(q.j1), abs(q.j2)))
-    w = _solve_on_branch(target, branch, p)
-    delta = delta_of_w(w, p)
-    x = math.atan(math.sqrt(tan2x_of_w(w, p)))
-    lam1 = complex(x, 0.5 * p.zeta + delta)
-    lam2 = lam1.conjugate()
-    residual = bae_defect(lam1, lam2, p)
-    if residual > defect_tol:
-        raise ToleranceNotReached(
-            f"defect {residual!r} above {defect_tol!r} for ({q.j1}, {q.j2})"
-        )
-    return RapidityPair(
-        lambda1=lam1,
-        lambda2=lam2,
-        residual=residual,
-        iterations=0,
-        branch_meta={
-            "method": "z1_branch",
-            "branch": branch.value,
-            "w": w,
-            "delta": delta,
-            "x": x,
-        },
-    )
-
-
-def _boundary_string_excess(p: ChainParams):
-    """Excess s = y - zeta/2 of the edge-centered string's half-width y.
-
-    At center pi/2 the product-form equations reduce to one real equation,
-    N log(cosh(zeta + s)/cosh(s)) = log(sinh(2 zeta + 2s)/sinh(2s)),
-    strictly increasing from -inf at s -> 0 to (N - 2) zeta > 0 at
-    s -> inf, so the root is unique.  Bisected on log(s): at strong
-    anisotropy s ~ e^(-(N-2) zeta), far below absolute resolution in y.
-    """
-
-    def g(log_s):
-        s = math.exp(log_s)
-        lhs = p.n * (
-            math.log(math.cosh(p.zeta + s)) - math.log(math.cosh(s))
-        )
-        rhs = math.log(math.sinh(2.0 * p.zeta + 2.0 * s)) - math.log(
-            math.sinh(2.0 * s)
-        )
-        return lhs - rhs
-
-    lo, hi = math.log(1e-300), math.log(10.0)
-    while g(hi) < 0.0:
-        hi += 1.0
-    root, _ = bisect_monotone(g, lo, hi, xtol=1e-14, max_iter=200)
-    return math.exp(root)
-
-
-def boundary_string_halfwidth(p: ChainParams):
-    """Half-width y > zeta/2 of the wide string centered on the domain edge."""
-    return 0.5 * p.zeta + _boundary_string_excess(p)
+    k = -((q.j1.twice + q.j2.twice) // 2) % p.n
+    return _bound_state(k, p, branch, "momentum_block", defect_tol)
 
 
 def solve_boundary_string(p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Wide conjugate pair centered on the edge of the rapidity domain.
 
-    This is the state carried by the boundary label of the infinite family
-    whose mirror partner is the real pair at the domain edge; its counting
-    value sits exactly at (N-1)/2.
+    This is the state carried by the negative boundary label of the
+    infinite family, whose mirror partner is the real pair at the domain
+    edge; its counting value sits exactly at (N-1)/2.  It is the bound
+    state of block 0 (the labels' own k is N/2).
     """
-    s = _boundary_string_excess(p)
-    y = 0.5 * p.zeta + s
-    lam1 = complex(0.5 * math.pi, y)
-    lam2 = lam1.conjugate()
-    # Evaluate the product-form residual through the pi/2-center reduction in
-    # s: at strong anisotropy s is below the rounding error of y itself, so
-    # substituting the stored y into bae_defect measures only that rounding,
-    # not the quality of the root.
-    lhs = (math.cosh(p.zeta + s) / math.cosh(s)) ** p.n
-    rhs = math.sinh(2.0 * p.zeta + 2.0 * s) / math.sinh(2.0 * s)
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    if residual > defect_tol:
-        raise ToleranceNotReached(
-            f"defect {residual!r} above {defect_tol!r} for the boundary string"
-        )
-    delta = y - 0.5 * p.zeta
-    return RapidityPair(
-        lambda1=lam1,
-        lambda2=lam2,
-        residual=residual,
-        iterations=0,
-        branch_meta={
-            "method": "boundary_string",
-            "branch": Branch.WIDE.value,
-            "w": math.tanh(y) / p.t,
-            "delta": delta,
-            "x": 0.5 * math.pi,
-        },
-    )
+    return _bound_state(0, p, Branch.WIDE, "boundary_string", defect_tol)
 
 
 def singular_solution(p: ChainParams):

@@ -42,7 +42,7 @@ from bethe_xxz.quantum_numbers import (
     regime_label_from_report,
     threshold_value,
 )
-from bethe_xxz.string_solver import Branch, solve_complex, wide_w_cap, z1
+from bethe_xxz.string_solver import Branch, solve_complex, z1
 from bethe_xxz.xxx_limit import trace_divergence
 
 
@@ -223,7 +223,8 @@ def test_07_monotonicity_property_suite(capsys):
             if branch is Branch.NARROW:
                 lo, hi = 1e-5, 1.0 - 1e-6
             else:
-                lo, hi = 1.0 + 1e-6, wide_w_cap(p) * (1.0 - 1e-9)
+                # (1 - 1e-12)/t keeps atanh(w t) finite.
+                lo, hi = 1.0 + 1e-6, (1.0 - 1e-12) / p.t * (1.0 - 1e-9)
             ratio = (hi / lo) ** (1.0 / (grid_points - 1))
             w, prev = lo, None
             for _ in range(grid_points):

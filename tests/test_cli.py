@@ -10,6 +10,7 @@ import pytest
 import bethe_xxz
 from bethe_xxz import cli
 from bethe_xxz.cli import main
+from bethe_xxz.model import HalfInt
 from bethe_xxz.quantum_numbers import threshold_value
 
 
@@ -17,6 +18,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _nine_halves(q):
+    """The narrow pairs (+-9/2, +-9/2) of N = 16, made to fail."""
+    return abs(q.j1) == abs(q.j2) == HalfInt(9)
 
 
 def _subprocess_env():
@@ -133,7 +139,7 @@ class TestSolve:
         assert quiet.returncode == loud.returncode == 0
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
-        assert "narrow branch, J=2.5: brackets [(" in loud.stderr
+        assert "narrow bound state, k=3: v=" in loud.stderr
 
     def test_equal_debug_log_goes_to_stderr_only(self):
         argv = [
@@ -184,9 +190,10 @@ class TestSolve:
         )
         assert code == 0
 
-    def test_failed_pair_has_summary_and_no_stderr(self, capsys):
+    def test_failed_pair_has_summary_and_no_stderr(self, capsys, fail_complex):
         # solve reports its failures in the records and the exit code only;
         # the `failed pairs:` line is solve-all's.
+        fail_complex(_nine_halves)
         code, out, err = run(
             capsys, "solve", "--n", "16", "--zeta", "0.6",
             "--j1", "9/2", "--j2", "9/2",
@@ -273,9 +280,11 @@ class TestSolveAll:
         assert json.loads(out)["summary"] == {"count": 6, "failed": 0}
 
     def test_debug_log_goes_to_stderr_only(self):
+        # A zero defect tolerance fails the real pairs, whose defects are
+        # above 0, so stderr also carries the `failed pairs:` line.
         argv = [
             sys.executable, "-m", "bethe_xxz.cli", "solve-all", "--n", "16",
-            "--zeta", "0.6",
+            "--zeta", "0.6", "--tol-defect", "0",
         ]
         env = _subprocess_env()
         quiet = subprocess.run(
@@ -291,7 +300,8 @@ class TestSolveAll:
         assert batch in loud.stderr
         assert loud.stderr.endswith(quiet.stderr)
 
-    def test_failed_line_names_the_error_records(self, capsys):
+    def test_failed_line_names_the_error_records(self, capsys, fail_complex):
+        fail_complex(_nine_halves)
         code, out, err = run(capsys, "solve-all", "--n", "16", "--zeta", "0.6")
         assert code == 4
         payload = json.loads(out)
@@ -331,9 +341,10 @@ class TestVerify:
         assert "exceeds" in err
         assert "bytes" in err
 
-    def test_solver_failure_exits_partial(self, capsys):
-        # The narrow pairs (+-9/2, +-9/2) find no root at (16, 0.6); the
+    def test_solver_failure_exits_partial(self, capsys, fail_complex):
+        # The narrow pairs (+-9/2, +-9/2) are made to fail at (16, 0.6); the
         # other 118 pairs are still matched.
+        fail_complex(_nine_halves)
         code, out, err = run(capsys, "verify", "--n", "16", "--zeta", "0.6")
         assert code == 4
         assert out.startswith("118/120 matched; INCOMPLETE: 2 pairs unsolved")
@@ -393,15 +404,15 @@ EXIT_CASES = {
         "error: anisotropy parameter must be finite",
     ),
     "huge-zeta-verify": (
-        ["verify", "--n", "8", "--zeta", "711"], 2,
+        ["verify", "--n", "8", "--zeta", "710"], 2,
         "error: anisotropy parameter must be finite and at most "
-        "710.4758600739439",
+        "709.782712893384",
     ),
     "huge-zeta-solve": (
         ["solve", "--n", "8", "--zeta", "711", "--j1", "1/2", "--j2", "3/2"],
         2,
         "error: anisotropy parameter must be finite and at most "
-        "710.4758600739439",
+        "709.782712893384",
     ),
     "non-family-trace": (
         ["xxx-trace", "--n", "8", "--j1", "1/2", "--j2", "3/2",
@@ -422,8 +433,8 @@ EXIT_CASES = {
         "degenerate boundary: ",
     ),
     "solve-all-partial": (
-        ["solve-all", "--n", "16", "--zeta", "0.6"], 4,
-        "failed pairs: (-9/2,-9/2), (9/2,9/2)",
+        ["solve-all", "--n", "16", "--zeta", "0.6", "--tol-defect", "0"], 4,
+        "failed pairs: (-13/2,-15/2), (-13/2,-11/2), ",
     ),
     "trace-solver-failure": (
         ["xxx-trace", "--n", "12", "--j1", "11/2", "--j2", "11/2",
@@ -446,6 +457,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith(prefix)
+
+
+class TestHugeZeta:
+    """Far outside the zeta <= 5 envelope, up to MAX_ZETA: no traceback."""
+
+    @pytest.mark.parametrize("zeta", ["100", "400", "700", "709.78"])
+    def test_solve_all(self, capsys, zeta):
+        code, out, err = run(capsys, "solve-all", "--n", "8", "--zeta", zeta)
+        assert code in (0, 4)
+        assert json.loads(out)["summary"]["count"] == 28
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("zeta", ["100", "400", "700", "709"])
+    def test_verify(self, capsys, zeta):
+        code, out, err = run(capsys, "verify", "--n", "8", "--zeta", zeta)
+        assert code in (0, 4)
+        assert out.startswith("28/28 matched")
+        assert "Traceback" not in err
 
 
 class TestRegimeMap:

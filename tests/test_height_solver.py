@@ -711,8 +711,9 @@ class TestSectorBatch:
         assert solve_pairs([], P86) == []
 
     @pytest.mark.parametrize("n,zeta", [(16, 0.6), (64, 2.0)])
-    def test_dispatch_batch_matches_per_pair(self, n, zeta):
-        # Both sectors have complex pairs that fail.
+    def test_dispatch_batch_matches_per_pair(self, n, zeta, fail_complex):
+        # Every complex pair solves, so the narrow ones are made to fail.
+        fail_complex(lambda q: q.cls is SolutionClass.NARROW_PAIR_COMPLEX)
         p = ChainParams(n, zeta)
         pairs = enumerate_all(p)
         results = solve_quantum_pairs(pairs, p)

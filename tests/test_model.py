@@ -96,11 +96,11 @@ class TestChainParams:
             ChainParams(8, zeta)
 
     def test_zeta_bound_is_where_cosh_overflows(self):
-        assert ChainParams(8, MAX_ZETA).delta == math.cosh(MAX_ZETA)
+        # The bound is on 2 Delta, the diagonal of the sector Hamiltonian.
+        assert math.isfinite(2.0 * ChainParams(8, MAX_ZETA).delta)
         above = math.nextafter(MAX_ZETA, math.inf)
-        with pytest.raises(OverflowError):
-            math.cosh(above)
-        with pytest.raises(ValueError, match="cosh\\(zeta\\) overflows"):
+        assert 2.0 * math.cosh(above) == math.inf
+        with pytest.raises(ValueError, match="2 cosh\\(zeta\\) overflows"):
             ChainParams(8, above)
 
 
@@ -120,6 +120,15 @@ class TestBaeDefect:
     def test_pole_at_singular_pair(self):
         with pytest.raises(PoleEncountered):
             bae_defect(0.3j, -0.3j, P86)
+
+    def test_overflowing_side_is_a_pole(self):
+        # Just off a narrow string at (200, 5): no denominator is below
+        # POLE_TOL, but (sin(lam + i zeta/2)/sin(lam - i zeta/2))^N
+        # overflows.
+        p = ChainParams(200, 5.0)
+        lam = complex(0.33, 2.5 + 1e-10)
+        with pytest.raises(PoleEncountered, match="overflows"):
+            bae_defect(lam, lam.conjugate(), p)
 
     def test_normalized_for_huge_sides(self):
         # At strong anisotropy both sides are of order e^(N zeta); the

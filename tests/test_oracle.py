@@ -181,18 +181,39 @@ class TestNoDenseMatrix:
         assert "matrix" in vars(ham)
 
 
+def _reference_momenta(pair, p):
+    """Momenta p1, p2 of a pair and the log of its scattering factor S.
+
+    A bound state of a momentum block carries k and v: its momenta are
+    a -+ i v, with a = pi k / N shifted by pi where needed for cos a >= 0,
+    and S = e^{i N p2}.  Other pairs take their momenta from lambda and S
+    from the two-body scattering amplitude.
+    """
+    meta = pair.branch_meta
+    if "k" in meta:
+        a = math.pi * meta["k"] / p.n
+        if math.cos(a) < 0.0:
+            a -= math.pi
+        p2 = complex(a, meta["v"])
+        p1 = p2.conjugate()
+        if meta.get("mirrored"):
+            p1, p2 = -p1, -p2
+        return p1, p2, 1j * p.n * p2
+    hz = 0.5j * p.zeta
+    p1, p2 = (
+        -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
+        for lam in (pair.lambda1, pair.lambda2)
+    )
+    e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
+    num = e1 * e2 - 2.0 * p.delta * e2 + 1.0
+    den = e1 * e2 - 2.0 * p.delta * e1 + 1.0
+    return p1, p2, cmath.log(-num) - cmath.log(den)
+
+
 def _reference_amplitudes(pair, p):
     """Unshifted assembly, one plane-wave product per basis state."""
-    hz = 0.5j * p.zeta
-
-    def momentum(lam):
-        return -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
-
-    p1, p2 = momentum(pair.lambda1), momentum(pair.lambda2)
-    e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-    s = -(e1 * e2 - 2.0 * p.delta * e2 + 1.0) / (
-        e1 * e2 - 2.0 * p.delta * e1 + 1.0
-    )
+    p1, p2, log_s = _reference_momenta(pair, p)
+    s = cmath.exp(log_s)
     amplitudes = []
     for x1 in range(p.n):
         for x2 in range(x1 + 1, p.n):
@@ -205,17 +226,10 @@ def _reference_amplitudes(pair, p):
 
 def _outer_sum_vector(pair, p):
     """Amplitudes from the full (x1, x2) exponents, one common shift."""
-    hz = 0.5j * p.zeta
-    p1, p2 = (
-        -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
-        for lam in (pair.lambda1, pair.lambda2)
-    )
-    e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
-    num = e1 * e2 - 2.0 * p.delta * e2 + 1.0
-    den = e1 * e2 - 2.0 * p.delta * e1 + 1.0
+    p1, p2, log_s = _reference_momenta(pair, p)
     x1, x2 = np.triu_indices(p.n, 1)
     direct = 1j * (p1 * x1 + p2 * x2)
-    exchanged = 1j * (p2 * x1 + p1 * x2) + (cmath.log(-num) - cmath.log(den))
+    exchanged = 1j * (p2 * x1 + p1 * x2) + log_s
     shift = max(direct.real.max(), exchanged.real.max())
     amplitudes = np.exp(direct - shift) + np.exp(exchanged - shift)
     norm = float(np.linalg.norm(amplitudes))
@@ -381,7 +395,7 @@ class TestRegularizedSingularPair:
         pair = regularized_singular_pair(p)
         assert (pair.lambda1, pair.lambda2) == self._formula(p)
 
-    @pytest.mark.parametrize("zeta", [400.0, 710.0])
+    @pytest.mark.parametrize("zeta", [400.0, 709.78])
     def test_huge_zeta_has_no_displacement(self, zeta):
         # sin(2 i zeta) overflows here, but 1/R has long underflowed to 0.
         p = ChainParams(8, zeta)
@@ -394,7 +408,11 @@ class TestRegularizedSingularPair:
 
 
 class TestCompleteness:
-    @pytest.mark.parametrize("n,zeta", [(4, 1.0), (8, 0.6)])
+    @pytest.mark.parametrize(
+        "n,zeta",
+        [(4, 1.0), (8, 0.6), (16, 0.6), (22, 1e-3), (48, 0.3), (48, 2.0),
+         (64, 2.0)],
+    )
     def test_full_spectrum_matched(self, n, zeta):
         match = completeness_check(ChainParams(n, zeta))
         assert len(match.entries) == n * (n - 1) // 2
@@ -407,9 +425,10 @@ class TestCompleteness:
         used = sorted(e.ed_energy for e in match.entries)
         assert np.allclose(used, spec)
 
-    def test_unsolved_pairs_reported_and_rest_matched(self):
-        # At (16, 0.6) the narrow pairs (+-9/2, +-9/2) have no root on the
-        # narrow branch; every other pair still solves and matches.
+    def test_unsolved_pairs_reported_and_rest_matched(self, fail_complex):
+        # At (16, 0.6) the narrow pairs (+-9/2, +-9/2) are made to fail;
+        # every other pair still solves and matches.
+        fail_complex(lambda q: abs(q.j1) == abs(q.j2) == HalfInt(9))
         p = ChainParams(16, 0.6)
         with pytest.raises(IncompleteSpectrum) as info:
             completeness_check(p)

@@ -1,12 +1,13 @@
 """Complex conjugate pairs, the edge-centered string, the singular pair."""
+import cmath
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from bethe_xxz.dispatch import is_boundary_family_pair, solve_quantum_pair
 from bethe_xxz.model import (
     ChainParams,
     HalfInt,
@@ -16,27 +17,26 @@ from bethe_xxz.model import (
     QuantumPair,
     SolutionClass,
     bisect_monotone,
+    magnon_energy,
 )
 from bethe_xxz import string_solver
 from bethe_xxz.equal_solver import tan2x_limit
-from bethe_xxz.quantum_numbers import enumerate_all, threshold_f
+from bethe_xxz.oracle import build_hamiltonian, momentum_blocks
+from bethe_xxz.quantum_numbers import (
+    _special_pairs,
+    classify_regime,
+    enumerate_all,
+    threshold_f,
+)
 from bethe_xxz.string_solver import (
-    GRID_POINTS,
-    NARROW_W_MAX,
-    NARROW_W_MIN,
-    WIDE_W_MIN,
     Branch,
     _BRANCH_BY_CLASS,
-    _solve_on_branch,
-    boundary_string_halfwidth,
-    branch_grid,
+    bound_state_momenta,
     delta_of_w,
-    n_z1_grid,
     singular_solution,
     solve_boundary_string,
     solve_complex,
     tan2x_of_w,
-    wide_w_cap,
     z1,
 )
 
@@ -103,15 +103,21 @@ class TestStructure:
             solve_complex(_pair(1, 3, SolutionClass.STANDARD_REAL), P86)
 
     def test_unattainable_target_raises(self):
-        with pytest.raises(NoRootOnBranch):
-            solve_complex(_pair(1, 3, SolutionClass.WIDE_PAIR_COMPLEX), P86)
+        # (1/2, 1/2) sits in the odd block k = 7, whose link c = cos(pi/8)
+        # leaves Delta/c below N/(N - 2): no bound state.  (3/2, 5/2) sits
+        # in block N/2, whose top state is the singular pair.
+        with pytest.raises(NoRootOnBranch, match="no bound state"):
+            solve_complex(_pair(1, 1, SolutionClass.NARROW_PAIR_COMPLEX), P86)
+        with pytest.raises(NoRootOnBranch, match="singular pair"):
+            solve_complex(_pair(3, 5, SolutionClass.WIDE_PAIR_COMPLEX), P86)
 
 
 class TestCountingFunction:
     def test_zero_deviation_parameterization(self):
         # w = 1 corresponds to delta = 0 exactly.
         assert delta_of_w(1.0, P86) == pytest.approx(0.0, abs=1e-15)
-        assert delta_of_w(wide_w_cap(P86), P86) > 10.0
+        # (1 - 1e-12)/t is where w ends: atanh(w t) stays finite below it.
+        assert delta_of_w((1.0 - 1e-12) / P86.t, P86) > 10.0
 
     @pytest.mark.parametrize("n,zeta", [(8, 0.6), (12, 0.52), (12, 0.57)])
     def test_collapsed_string_limit_matches_threshold(self, n, zeta):
@@ -144,7 +150,7 @@ def _branch_runs(branch, p, points=1000):
     if branch is Branch.NARROW:
         lo, hi = 1e-5, 1.0 - 1e-6
     else:
-        lo, hi = 1.0 + 1e-6, wide_w_cap(p) * (1.0 - 1e-9)
+        lo, hi = 1.0 + 1e-6, (1.0 - 1e-12) / p.t * (1.0 - 1e-9)
     ratio = (hi / lo) ** (1.0 / (points - 1))
     runs, current = [], []
     w = lo
@@ -161,16 +167,22 @@ def _branch_runs(branch, p, points=1000):
     return runs
 
 
+# The w-scan that solve_complex ran before it solved in the momentum frame,
+# kept as a reference: a 4096-point geometric grid per branch, bisected at
+# the first sign change that really hits the target.
+SCAN_POINTS = 4096
+
+
 def _reference_bounds(branch, p):
     if branch is Branch.NARROW:
-        lo, hi = NARROW_W_MIN, NARROW_W_MAX
+        lo, hi = 1e-6, 1.0 - 1e-9
     else:
-        lo, hi = WIDE_W_MIN, wide_w_cap(p)
-    return lo, hi, (hi / lo) ** (1.0 / (GRID_POINTS - 1))
+        lo, hi = 1.0 + 1e-9, (1.0 - 1e-12) / p.t
+    return lo, hi, (hi / lo) ** (1.0 / (SCAN_POINTS - 1))
 
 
 def _reference_solve_on_branch(target_j, branch, p):
-    """The scalar scan-and-bisect loop that the vectorised scan replaced."""
+    """The scalar scan-and-bisect loop on one branch; w, or None."""
 
     def shifted(w):
         return p.n * string_solver.z1(w, p) - target_j
@@ -178,7 +190,7 @@ def _reference_solve_on_branch(target_j, branch, p):
     lo, hi, ratio = _reference_bounds(branch, p)
     prev_w = prev_val = None
     w = lo
-    for _ in range(GRID_POINTS):
+    for _ in range(SCAN_POINTS):
         try:
             val = shifted(w)
         except (NegativeDiscriminant, NegativeTanSquare):
@@ -194,26 +206,7 @@ def _reference_solve_on_branch(target_j, branch, p):
                 return root
         prev_w, prev_val = w, val
         w = min(w * ratio, hi)
-    raise NoRootOnBranch(target_j)
-
-
-def _complex_targets(p):
-    """Distinct (branch, target) pairs that solve_complex scans for."""
-    return sorted(
-        {
-            (_BRANCH_BY_CLASS[q.cls], float(min(abs(q.j1), abs(q.j2))))
-            for q in enumerate_all(p)
-            if q.cls.is_complex
-        },
-        key=lambda item: (item[0].value, item[1]),
-    )
-
-
-def _outcome(solve, target, branch, p):
-    try:
-        return solve(target, branch, p)
-    except NoRootOnBranch:
-        return "no root"
+    return None
 
 
 EQUIVALENCE_POINTS = [
@@ -222,86 +215,205 @@ EQUIVALENCE_POINTS = [
     for zeta in (1e-3, 0.05, 0.3, 0.6, 1.0, 2.0, 5.0)
 ] + [(64, 0.3), (64, 2.0), (128, 0.3)]
 
+# Largest |lambda - scan lambda| over EQUIVALENCE_POINTS, measured before it
+# was fixed (2.398e-9, at N = 38, zeta = 0.6, (27/2, 29/2)).  The scan is the
+# inexact one: its roots near w = 1 sit at the ends of its grid, and there
+# mpmath puts the momentum-frame lambda within 1e-16 of the exact root.
+LAMBDA_BOUND = 2.4e-9
+
 
 class TestVectorisedScan:
-    def test_grid_repeats_the_scalar_recurrence(self):
-        for p in (P86, ChainParams(128, 0.3), ChainParams(4, 5.0)):
-            for branch in Branch:
-                lo, hi, ratio = _reference_bounds(branch, p)
-                expected, w = [], lo
-                for _ in range(GRID_POINTS):
-                    expected.append(w)
-                    w = min(w * ratio, hi)
-                assert branch_grid(branch, p).tolist() == expected
+    """The momentum-frame solver against the w-scan it replaced."""
 
     @pytest.mark.parametrize("n,zeta", EQUIVALENCE_POINTS)
     def test_same_root_as_scalar_scan(self, n, zeta):
-        # Same float, or NoRootOnBranch from both, for every complex target.
+        # Every positive complex label solves; where the scan found its
+        # root too, lambda agrees with the scan's to LAMBDA_BOUND.
         p = ChainParams(n, zeta)
-        for branch, target in _complex_targets(p):
-            assert _outcome(_solve_on_branch, target, branch, p) == _outcome(
-                _reference_solve_on_branch, target, branch, p
-            ), (branch, target)
+        for q in enumerate_all(p):
+            if not q.cls.is_complex or q.j1 < 0:
+                continue
+            sol = solve_complex(q, p)
+            target = float(min(abs(q.j1), abs(q.j2)))
+            w = _reference_solve_on_branch(target, _BRANCH_BY_CLASS[q.cls], p)
+            if w is None:
+                continue
+            scanned = complex(
+                math.atan(math.sqrt(tan2x_of_w(w, p))),
+                0.5 * p.zeta + delta_of_w(w, p),
+            )
+            assert abs(sol.lambda1 - scanned) <= LAMBDA_BOUND, (q.j1, q.j2)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        half_n=st.integers(2, 64),
-        zeta=st.floats(1e-3, 5.0),
-        position=st.floats(0.0, 1.0),
-        branch=st.sampled_from(Branch),
+
+def _bound_state_labels(p):
+    """The complex labels and the negative boundary label of a sector."""
+    return [
+        q for q in _special_pairs(p, classify_regime(p))
+        if q.cls.is_complex or (is_boundary_family_pair(q, p) and q.j1 < 0)
+    ]
+
+
+def _link(k, n):
+    return abs(math.cos(math.pi * k / n))
+
+
+class TestBoundState:
+    def test_excess_sign_follows_block_parity(self):
+        # Odd blocks hold the narrow pairs and the extra two-string, with
+        # v below v_inf = log(Delta / c); even blocks the wide pairs and
+        # the edge string, with v above it.
+        for n, zeta in [(8, 0.6), (12, 0.57), (22, 1e-3), (48, 0.3)]:
+            p = ChainParams(n, zeta)
+            for q in _bound_state_labels(p):
+                meta = solve_quantum_pair(q, p).branch_meta
+                k, v = meta["k"], meta["v"]
+                v_inf = math.log(p.delta / _link(k, n))
+                narrow = q.cls is not SolutionClass.WIDE_PAIR_COMPLEX and (
+                    q.cls.is_complex
+                )
+                assert k % 2 == narrow, (n, zeta, q)
+                assert meta["branch"] == ("narrow" if narrow else "wide")
+                eps = math.copysign(math.exp(meta["log_eps"]), 0.5 - narrow)
+                # cos(pi k / N) near pi/2 costs the test-side v_inf digits.
+                assert v - v_inf == pytest.approx(eps, rel=1e-6, abs=1e-14), q
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(8, 0.6), (22, 1e-3), (64, 2.0), (128, 0.3), (200, 5.0)]
     )
-    def test_grid_equals_scalar_counting_function(
-        self, half_n, zeta, position, branch
-    ):
-        p = ChainParams(2 * half_n, zeta)
-        lo, hi, _ = _reference_bounds(branch, p)
-        w = min(lo * (hi / lo) ** position, hi)
-        value = n_z1_grid(np.array([w]), p)[0]
+    def test_rapidity_is_the_atan_form(self, n, zeta):
+        # tan(lambda) = tanh(zeta/2) cot(p/2) at p = a + i v, evaluated
+        # directly; lambda is only defined mod pi.
+        p = ChainParams(n, zeta)
+        for q in _bound_state_labels(p):
+            if q.j1 < 0 and q.cls.is_complex:
+                continue
+            sol = solve_quantum_pair(q, p)
+            _, p2 = bound_state_momenta(sol, p)
+            direct = cmath.atan(p.t / cmath.tan(0.5 * p2))
+            gap = sol.lambda2 - direct
+            gap -= math.pi * round(gap.real / math.pi)
+            assert abs(gap) <= 1e-13, (n, zeta, q)
+            assert -0.5 * math.pi < sol.lambda2.real <= 0.5 * math.pi
+
+    def test_debug_log_names_block_and_root(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            solve_complex(_pair(5, 5, SolutionClass.NARROW_PAIR_COMPLEX), P86)
+            solve_boundary_string(P86)
+        narrow, edge = [r.getMessage() for r in caplog.records]
+        assert narrow.startswith("narrow bound state, k=3: v=")
+        assert edge.startswith("wide bound state, k=0: v=")
+        assert "log|eps|=" in narrow and " steps, residual " in narrow
+
+
+# Points of the product-form certificate: the strata of N and zeta, with
+# the paper's (22, 1e-3) and the points where the w-scan failed.
+CERTIFICATE_POINTS = [
+    (8, 0.6), (22, 1e-3), (48, 0.3), (64, 2.0), (100, 1.0), (128, 2.0),
+    (160, 3.0), (200, 5.0),
+]
+
+
+def _exact_rapidities(meta, p):
+    """lambda1, lambda2 rebuilt from (k, log|eps|) in mpmath.
+
+    Uses 30 + N v / 2.3 digits: the string deviation is about e^{-N v}.
+    """
+    n, k = p.n, meta["k"]
+    mpmath.mp.dps = int(30 + n * meta["v"] / 2.3)
+    zeta = mpmath.mpf(p.zeta)
+    link = abs(mpmath.cos(mpmath.pi * k / n))
+    sign = 1 if k % 2 == 0 else -1
+    v = mpmath.log(mpmath.cosh(zeta) / link) + sign * mpmath.exp(
+        meta["log_eps"]
+    )
+    a = mpmath.pi * k / n
+    if mpmath.cos(a) < 0:
+        a -= mpmath.pi
+    lam2 = mpmath.atan(mpmath.tanh(zeta / 2) * mpmath.cot(mpmath.mpc(a, v) / 2))
+    return mpmath.conj(lam2), lam2
+
+
+def _product_form_defect(lam1, lam2, p):
+    """bae_defect's relative defect, in mpmath."""
+    hz = mpmath.mpc(0, p.zeta / 2)
+    defect = 0
+    for lam, other in ((lam1, lam2), (lam2, lam1)):
+        lhs = (mpmath.sin(lam + hz) / mpmath.sin(lam - hz)) ** p.n
+        rhs = mpmath.sin(lam - other + 2 * hz) / mpmath.sin(lam - other - 2 * hz)
+        scale = max(1, abs(lhs), abs(rhs))
+        defect = max(defect, abs(lhs - rhs) / scale)
+    return defect
+
+
+class TestCertificate:
+    """Every bound state satisfies the product form, rebuilt in mpmath."""
+
+    @pytest.mark.parametrize("n,zeta", CERTIFICATE_POINTS)
+    def test_product_form_holds(self, n, zeta):
+        p = ChainParams(n, zeta)
+        labelled = 0
         try:
-            expected = p.n * z1(w, p)
-        except (NegativeDiscriminant, NegativeTanSquare):
-            assert not np.isfinite(value)
-            return
-        assert abs(value - expected) <= 1e-12
+            for q in _bound_state_labels(p):
+                if q.j1 < 0 and q.cls.is_complex:
+                    continue  # the exact mirror of its positive partner
+                sol = solve_quantum_pair(q, p)
+                lam1, lam2 = _exact_rapidities(sol.branch_meta, p)
+                assert _product_form_defect(lam1, lam2, p) <= 1e-12, q
+                gap = complex(lam1) - sol.lambda1
+                gap -= math.pi * round(gap.real / math.pi)
+                assert abs(gap) <= 1e-14 * max(1.0, abs(sol.lambda1)), q
+                if not q.cls.is_complex:
+                    continue
+                # The label: N Z1(w) = J wherever w is resolvable.
+                w = float(mpmath.tanh(lam1.imag) / mpmath.tanh(zeta / 2))
+                if abs(w - 1.0) > 1e-6:
+                    target = float(min(abs(q.j1), abs(q.j2)))
+                    assert abs(n * z1(w, p) - target) < 1e-6, q
+                    labelled += 1
+        finally:
+            mpmath.mp.dps = 15
+        assert labelled > 0 or n >= 64
 
-    def test_jump_rejected_and_first_root_wins(self, monkeypatch, caplog):
-        # No enumerated target in the tested envelope meets more than one
-        # bracket, so a stand-in counting function exercises the rest: it
-        # jumps over 2 at w = 0.3, then crosses 2 at w = 0.8 and w = 0.95.
-        def counting(w):
-            return np.select([w < 0.3, w < 0.9], [1.0, 2.8 - w], 2.0 * w + 0.1)
 
-        monkeypatch.setattr(
-            string_solver, "z1", lambda w, p: float(counting(w)) / p.n
-        )
-        monkeypatch.setattr(
-            string_solver, "n_z1_grid", lambda w, p: counting(w)
-        )
-        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
-            root = _solve_on_branch(2.0, Branch.NARROW, P86)
-        assert root == _reference_solve_on_branch(2.0, Branch.NARROW, P86)
-        assert root == pytest.approx(0.8, abs=1e-12)
-        grid = branch_grid(Branch.NARROW, P86).tolist()
-        k = int(np.searchsorted(grid, 0.3))
-        (message,) = [r.getMessage() for r in caplog.records]
-        assert f"jumps [{(grid[k - 1], grid[k])!r}], root w=" in message
-        assert message.count("), (") == 2  # three candidate brackets
+ENVELOPE_ZETAS = [1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 3.0, 4.5, 5.0]
 
-    def test_debug_log_names_brackets_and_outcome(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
-            _solve_on_branch(2.5, Branch.NARROW, P86)
-            with pytest.raises(NoRootOnBranch):
-                _solve_on_branch(0.5, Branch.WIDE, P86)
-        found, missed = [r.getMessage() for r in caplog.records]
-        assert found.startswith("narrow branch, J=2.5: brackets [(")
-        assert "jumps [], root w=" in found
-        assert missed.startswith("wide branch, J=0.5: brackets ")
-        assert missed.endswith("no root")
+
+class TestEnvelope:
+    """Every complex and edge-string label over even N 4-200."""
+
+    @pytest.mark.parametrize("zeta", ENVELOPE_ZETAS)
+    def test_every_bound_state_solves(self, zeta):
+        # Up to N = 64 the energy is the top eigenvalue of block k: from
+        # the momentum, -2 Delta + 2 c cosh(v), to 1e-12 (5.8e-15 measured);
+        # from the stored rapidities (magnon_energy, the CLI's energy
+        # field), to 1.3e-11 (1.21e-11 measured, at N = 48, zeta = 1e-3: at
+        # small zeta the momenta are ill-conditioned in lambda).
+        for n in range(4, 202, 2):
+            p = ChainParams(n, zeta)
+            tops = None
+            if n <= 64:
+                blocks = momentum_blocks(build_hamiltonian(p))
+                tops = [np.linalg.eigvalsh(block)[-1] for block in blocks]
+            for q in _bound_state_labels(p):
+                sol = solve_quantum_pair(q, p)
+                assert sol.residual <= string_solver.DEFAULT_DEFECT_TOL
+                assert abs(sol.lambda1.real) <= 0.5 * math.pi, (n, q)
+                if tops is None:
+                    continue
+                meta = sol.branch_meta
+                top = tops[meta["k"]]
+                scale = max(1.0, abs(top))
+                energy = -2.0 * p.delta + 2.0 * _link(meta["k"], n) * math.cosh(
+                    meta["v"]
+                )
+                assert abs(energy - top) <= 1e-12 * scale, (n, q)
+                rapidity_energy = magnon_energy(sol.lambda1, sol.lambda2, p)
+                assert abs(rapidity_energy - top) <= 1.3e-11 * scale, (n, q)
 
 
 class TestBoundaryString:
     def test_frozen_halfwidth(self):
-        assert boundary_string_halfwidth(P86) == pytest.approx(
+        assert solve_boundary_string(P86).lambda1.imag == pytest.approx(
             0.44633123382263995, abs=1e-12
         )
 
@@ -312,14 +424,18 @@ class TestBoundaryString:
         assert s.lambda2 == s.lambda1.conjugate()
         assert s.lambda1.imag > 0.5 * P86.zeta  # always a wide string
         assert s.branch_meta["method"] == "boundary_string"
+        assert s.branch_meta["k"] == 0
 
     @pytest.mark.parametrize(
-        "n,zeta", [(4, 0.001), (8, 0.6), (8, 5.0), (40, 2.0), (100, 1.0)]
+        "n,zeta",
+        [(4, 0.001), (8, 0.6), (8, 5.0), (40, 2.0), (100, 1.0), (184, 4.5),
+         (200, 5.0)],
     )
     def test_residual_tiny_across_scales(self, n, zeta):
         # At strong anisotropy the excess over zeta/2 is ~e^(-(N-2) zeta),
-        # far below the rounding of the half-width itself; the solver must
-        # still report a machine-precision residual.
+        # far below the rounding of the half-width itself (below 1e-300
+        # from N = 164 at zeta = 5); the solver must still report a
+        # machine-precision residual.
         s = solve_boundary_string(ChainParams(n, zeta))
         assert s.residual < 1e-12
 
