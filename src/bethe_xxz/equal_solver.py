@@ -1,11 +1,23 @@
-"""Real solutions with equal quantum numbers via the deviation counting
-function.
+"""Real solutions with equal quantum numbers as the top states of odd
+momentum blocks.
 
-A real pair with J1 = J2 is written as (x - phi, x + phi): a string center x
-and a half-deviation phi > 0.  The center is eliminated in closed form,
-leaving a scalar counting function of phi whose crossings with J1 are the
-real solutions.  The same threshold controls which equal-label pairs are
-real (collapsed strings) and whether the edge pair stays real.
+A positive label J sits in the odd block k = N - 2J of the momentum frame
+(string_solver).  Its real pair is the block's bound state continued to
+v = i q: momenta p = a -+ q, cos a = c = |cos(pi k / N)|, and relative
+amplitude e^{-i q r} - e^{-i q (N - r)}.  The hard-core condition at r = 1
+reads
+
+    h(q) = sin(N q / 2) / sin((N/2 - 1) q) - Delta / c = 0,
+
+with one root in (0, 2 pi / N] exactly when h(0) = N / (N - 2) - Delta / c
+is positive; otherwise the label carries a complex pair.  The same
+threshold controls which equal-label pairs are real (collapsed strings)
+and whether the edge pair stays real.
+
+The pair is written as (x - phi, x + phi), a string center x and a
+half-deviation phi > 0.  The paper's counting function N W(phi), with the
+center eliminated in closed form, stays as the label check: it equals J at
+a solution.
 """
 from __future__ import annotations
 
@@ -16,21 +28,18 @@ import math
 from .model import (
     ChainParams,
     DenominatorVanishes,
-    HalfInt,
     NegativeTanSquare,
     NoRealSolution,
     QuantumPair,
     RapidityPair,
     ToleranceNotReached,
     bae_defect,
-    first_grid_root,
-    geometric_grid,
+    bisect_monotone,
 )
+from .string_solver import _block_momentum, _log_delta, _log_link, block_index
 
 DEFAULT_DEFECT_TOL = 1e-10
 DENOMINATOR_TOL = 1e-13
-PHI_MIN = 1e-9
-GRID_POINTS = 2048
 
 log = logging.getLogger(__name__)
 
@@ -73,30 +82,6 @@ def tan2x_of_phi(phi, n, p: ChainParams):
     return -num / den
 
 
-def tan2x_complex_raw(phi, n, p: ChainParams):
-    """Unfactored complex evaluation of the same closed form (cross-check).
-
-    Returns the complex ratio before taking the real part; its imaginary
-    part must vanish to rounding for the branch to be consistent.
-    """
-    theta, e_plus, d_plus = _phase_parts(phi, n, p)
-    root = cmath.exp(1j * theta)
-    num = root * e_plus - e_plus.conjugate()
-    den = d_plus.conjugate() - root * d_plus
-    if abs(den) < DENOMINATOR_TOL:
-        raise DenominatorVanishes(
-            f"tan^2 x denominator vanishes at phi={phi!r}"
-        )
-    return num / den
-
-
-def tan2x_limit(p: ChainParams):
-    """phi -> 0 limit of tan2x_of_phi at n=0, in closed form."""
-    t = p.t
-    coth = 1.0 / math.tanh(p.zeta)
-    return (2.0 * coth * t * t - p.n * t) / (p.n * t - 2.0 * coth)
-
-
 def counting_w(phi, p: ChainParams, sign_x=1):
     """N*W(phi): the quantity equated to J1 for an equal-label real pair."""
     t2 = tan2x_of_phi(phi, 0, p)
@@ -111,45 +96,65 @@ def counting_w(phi, p: ChainParams, sign_x=1):
     return (p.n / (2.0 * math.pi)) * total - sign_x * gauss
 
 
-def _sample(f, phi):
-    """f(phi), or NaN where no real center exists."""
-    try:
-        return f(phi)
-    except (NegativeTanSquare, DenominatorVanishes):
-        return math.nan
+def _top_state_q(k, p: ChainParams):
+    """(q, steps) of block k's real top state, or None if the block has none.
+
+    h falls from h(0) > 0 to h(2 pi / N) = -Delta / c, so one bisection
+    brackets the root.
+    """
+    n = p.n
+    if k % 2 == 0 or 2 * k >= n:
+        return None
+    ratio = math.exp(_log_delta(p.zeta)[0] - _log_link(k, n))
+    h_zero = n / (n - 2) - ratio
+    if not h_zero > 0.0:
+        return None
+    outer, inner = 0.5 * n, 0.5 * n - 1.0
+
+    def h(q):
+        return math.sin(outer * q) / math.sin(inner * q) - ratio
+
+    return bisect_monotone(
+        h, 0.0, 2.0 * math.pi / n, f_lo=h_zero, f_hi=-ratio, xtol=0.0
+    )
+
+
+def _real_rapidity(momentum, t):
+    """The lambda of momentum p, with tan(lambda) = t cot(p/2).
+
+    Continued through p = 0: it falls from pi to 0 as p rises from -pi to pi.
+    """
+    half = 0.5 * momentum
+    return math.atan2(t * math.cos(half), math.sin(half))
 
 
 def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve an equal-quantum-number real pair, or raise NoRealSolution.
 
-    N*W jumps by ~N/2 at the tangent wraps of x +- phi and at the Gauss
-    step; a root can sit in the sliver just before a jump.
+    A positive label J < N/2 is solved as the top state of its block; a
+    negative label's pair is the exact negation of its partner's.
     """
     if q.j1 != q.j2:
         raise ValueError("solve_equal requires equal quantum numbers")
-    sign_x = 1 if q.j1 > 0 else -1
-    target = float(abs(q.j1))
-
-    def shifted(phi):
-        return counting_w(phi, p, 1) - target
-
-    grid = geometric_grid(PHI_MIN, math.pi / 2.0 - 1e-9, GRID_POINTS).tolist()
-    # N*W jumps by ~N/2, so at N = 4 a grid step across a tangent wrap can
-    # stay under 1 (0.98 at zeta = 0.01) while hiding a root in its sliver.
-    phi, iterations, brackets, jumps = first_grid_root(
-        shifted, grid, [_sample(shifted, point) for point in grid],
-        xtol=1e-15, accept=1e-8, jump=min(1.0, p.n / 8.0),
-    )
-    outcome = "no root" if phi is None else f"root phi={phi!r}"
-    log.debug("equal, J=%r: brackets %s, jumps %s, %s",
-              target, brackets, jumps, outcome)
-    if phi is None:
+    positive = q if q.j1 > 0 else q.negated()
+    k = block_index(positive, p.n)
+    # Labels at or past N/2 fold back into a block, but carry no state.
+    found = _top_state_q(k, p) if positive.j1.twice < p.n else None
+    if found is None:
+        log.debug("equal, J=%r: block k=%d has no real top state",
+                  float(q.j1), block_index(q, p.n))
         raise NoRealSolution(
             f"counting function never attains {q.j1} at N={p.n}, "
             f"zeta={p.zeta} (complex pair in this regime)"
         )
-    x = sign_x * math.atan(math.sqrt(tan2x_of_phi(phi, 0, p)))
-    l1, l2 = x - phi, x + phi
+    root, steps = found
+    a = _block_momentum(k, p.n)
+    l1, l2 = _real_rapidity(a + root, p.t), _real_rapidity(a - root, p.t)
+    x, phi = 0.5 * (l1 + l2), 0.5 * (l2 - l1)
+    if positive is not q:
+        l1, l2, x, k = -l2, -l1, -x, p.n - k
+    log.debug("equal, J=%r: block k=%d, q=%r after %d steps",
+              float(q.j1), k, root, steps)
     residual = bae_defect(l1, l2, p)
     if residual > defect_tol:
         raise ToleranceNotReached(
@@ -159,9 +164,12 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         lambda1=complex(l1),
         lambda2=complex(l2),
         residual=residual,
-        iterations=iterations,
+        iterations=steps,
         branch_meta={
-            "method": "equal_counting",
+            "method": "momentum_block",
+            "branch": "real",
+            "k": k,
+            "q": root,
             "center": x,
             "phi": phi,
             "gamma": 2.0 * phi / p.zeta,

@@ -114,16 +114,6 @@ def _contour_maps(j1: HalfInt, p: ChainParams, target=0.0):
     return mu2_of, shifted_height
 
 
-def mu2_of_mu1(mu1, j1: HalfInt, p: ChainParams):
-    """Second rapidity as a function of the first, on the branch of j1."""
-    return _contour_maps(j1, p)[0](mu1)
-
-
-def diff_p(mu1, j1: HalfInt, p: ChainParams):
-    """P(mu1) = mu2(mu1) - mu1, strictly decreasing between discontinuities."""
-    return mu2_of_mu1(mu1, j1, p) - mu1
-
-
 @functools.lru_cache(maxsize=256)
 def discontinuity_k(j1: HalfInt, p: ChainParams):
     """Discontinuity abscissa for j1: the root of tan(mu1) * ratio = 1.

@@ -13,10 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
 
-import numpy as np
-
 POLE_TOL = 1e-14
-JUMP_THRESHOLD = 1.0  # a larger step between samples is a jump, not a slope
 # The largest zeta whose 2 Delta = 2 cosh(zeta), the sector Hamiltonian's
 # diagonal, is a finite float.
 MAX_ZETA = math.acosh(sys.float_info.max / 2.0)
@@ -302,28 +299,6 @@ def bae_defect(lambda1, lambda2, p):
     return defect
 
 
-def log_bae_residual(lambda1, lambda2, j1, j2, p):
-    """Residual of the logarithmic-form equations with explicit floor terms.
-
-    Used as a cross-check that a solved pair really carries the quantum
-    numbers it was solved for.  Valid for real rapidities in (-pi/2, pi/2).
-    """
-    t = p.t
-    th = math.tanh(p.zeta)
-    res = 0.0
-    for lam, other, j in ((lambda1, lambda2, j1), (lambda2, lambda1, j2)):
-        diff = lam - other
-        lhs = 2.0 * math.atan(math.tan(lam) / t)
-        rhs = (
-            (2.0 * math.pi / p.n) * float(j)
-            + (2.0 / p.n) * math.atan(math.tan(diff) / th)
-            + (2.0 * math.pi / p.n)
-            * math.floor((2.0 * diff + math.pi) / (2.0 * math.pi))
-        )
-        res = max(res, abs(lhs - rhs))
-    return res
-
-
 def magnon_energy(lambda1, lambda2, p):
     """Energy of the two-magnon state, sum of cos(p_j) minus 2 Delta."""
     hz = 0.5j * p.zeta
@@ -385,74 +360,3 @@ def bisect_monotone(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, max_iter=200):
         else:
             hi, f_hi = mid, f_mid
     return 0.5 * (lo + hi), iterations
-
-
-def geometric_grid(lo, hi, points):
-    """Geometric grid lo..hi: the floats of x = min(x * ratio, hi) from lo."""
-    factors = np.full(points, (hi / lo) ** (1.0 / (points - 1)))
-    factors[0] = lo
-    return np.minimum(np.multiply.accumulate(factors), hi)
-
-
-def first_grid_root(
-    f, grid, values, *, xtol, accept, guard=0.0, jump=JUMP_THRESHOLD
-):
-    """First root of a piecewise monotone f, scanning its samples in order.
-
-    values are f on grid, NaN where f raises; a NaN is never bridged.  At
-    each pair of consecutive finite samples a sign change (or a sample
-    within guard of zero) is bisected on the scalar f; then a step above
-    jump (JUMP_THRESHOLD unless given) is narrowed to its left edge and
-    [grid[k], edge] is bisected, which finds a root in the sliver before a
-    jump.  The first result with |f| < accept wins.  Returns (root,
-    iterations, brackets, jumps): every sign-change pair, and the bisected
-    intervals that failed the check; root and iterations are None when none
-    passed.
-    """
-    xs = np.asarray(grid, dtype=float).tolist()
-    v = np.asarray(values, dtype=float)
-    finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
-    near = np.abs(v) <= guard
-    crossing = finite & ((v[:-1] * v[1:] <= 0.0) | near[:-1] | near[1:])
-    steep = finite & (np.abs(v[1:] - v[:-1]) > jump)
-    brackets = [(xs[k], xs[k + 1]) for k in np.flatnonzero(crossing)]
-    jumps = []
-
-    def bisect(lo, hi):
-        try:
-            f_lo, f_hi = f(lo), f(hi)
-        except BetheError:
-            return None
-        if f_lo * f_hi > 0.0:
-            return None
-        root, iterations = bisect_monotone(
-            f, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=xtol, max_iter=200
-        )
-        if abs(f(root)) < accept:
-            return root, iterations
-        jumps.append((lo, hi))
-
-    def left_edge(lo, hi, split, ascending):
-        # Bisect the jump by which side's value a midpoint is closer to; a
-        # midpoint where f raises lies past the jump.
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            try:
-                past = (f(mid) > split) == ascending
-            except BetheError:
-                past = True
-            lo, hi = (lo, mid) if past else (mid, hi)
-        return lo
-
-    for k in np.flatnonzero(crossing | steep):
-        found = bisect(xs[k], xs[k + 1]) if crossing[k] else None
-        if found is None and steep[k]:
-            edge = left_edge(
-                xs[k], xs[k + 1], 0.5 * (v[k] + v[k + 1]), v[k + 1] > v[k]
-            )
-            found = bisect(xs[k], edge)
-        if found is not None:
-            return found + (brackets, jumps)
-    return None, None, brackets, jumps

@@ -15,7 +15,8 @@ so v exceeds v_inf by an exponentially small eps, negative for odd k
 pairs, and in block 0 the string centered on the domain edge).  eps is
 carried in log form (Hagemans & Caux, J. Phys. A 40 (2007) 14605): one
 bisection on log|eps| per pair, after which tan(lambda) =
-tanh(zeta/2) cot(p/2) gives the rapidities.
+tanh(zeta/2) cot(p/2) gives the rapidities.  Continued to v = i q, the
+same state is the real pair of an equal label (equal_solver).
 
 The paper's counting function Z1 of the string width
 w = tanh(zeta/2 + delta)/tanh(zeta/2) stays as the label check: where w is
@@ -157,14 +158,23 @@ def _block_momentum(k, n):
     return math.pi * k / n if 2 * k <= n else -math.pi * (n - k) / n
 
 
-def bound_state_momenta(pair: RapidityPair, p: ChainParams):
-    """Momenta (p1, p2) = (a - i v, a + i v) of a pair solved here, else None.
+def block_index(q: QuantumPair, n):
+    """Momentum index k = -(J1 + J2) mod N of the block that carries q."""
+    return -((q.j1.twice + q.j2.twice) // 2) % n
 
-    They are rebuilt from the k and v in branch_meta; a mirrored pair has
-    the negated momenta of its partner.
+
+def bound_state_momenta(pair: RapidityPair, p: ChainParams):
+    """Momenta (p1, p2) of a pair solved in its momentum block, else None.
+
+    A bound state has (a - i v, a + i v), rebuilt from the k and v in
+    branch_meta, and a mirrored one the negated momenta of its partner.  An
+    equal-label real pair (equal_solver) has (a - q, a + q).
     """
     meta = pair.branch_meta
-    if "k" not in meta:
+    if "q" in meta:
+        a = _block_momentum(meta["k"], p.n)
+        return complex(a - meta["q"]), complex(a + meta["q"])
+    if "v" not in meta:
         return None
     p2 = complex(_block_momentum(meta["k"], p.n), meta["v"])
     if meta.get("mirrored"):
@@ -301,7 +311,7 @@ def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL)
     if q.j1 < 0 or (q.j1 == 0 and q.j2 < 0):
         mirror = solve_complex(q.negated(), p, defect_tol=defect_tol)
         return mirror.negated()
-    k = -((q.j1.twice + q.j2.twice) // 2) % p.n
+    k = block_index(q, p.n)
     return _bound_state(k, p, branch, "momentum_block", defect_tol)
 
 

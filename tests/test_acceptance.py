@@ -11,15 +11,9 @@ import time
 import pytest
 
 from bethe_xxz.cli import main as cli_main
-from bethe_xxz.equal_solver import (
-    counting_w,
-    solve_equal,
-    tan2x_limit,
-    tan2x_of_phi,
-)
+from bethe_xxz.equal_solver import counting_w, solve_equal, tan2x_of_phi
 from bethe_xxz.height_solver import (
     contour_bracket,
-    diff_p,
     height,
     lambda_star,
     solve_pair,
@@ -44,6 +38,7 @@ from bethe_xxz.quantum_numbers import (
 )
 from bethe_xxz.string_solver import Branch, solve_complex, z1
 from bethe_xxz.xxx_limit import trace_divergence
+from reference import diff_p, tan2x_limit
 
 
 def _report(message):

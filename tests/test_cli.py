@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -157,8 +158,9 @@ class TestSolve:
         assert quiet.returncode == loud.returncode == 0
         assert loud.stdout == quiet.stdout
         assert quiet.stderr == ""
-        assert "equal, J=3.5: brackets [(" in loud.stderr
-        assert "root phi=" in loud.stderr
+        assert re.search(
+            r"equal, J=3\.5: block k=1, q=\S+ after \d+ steps", loud.stderr
+        )
 
     def test_zero_defect_tolerance_is_applied(self, capsys):
         argv = ["solve", "--n", "8", "--zeta", "0.6", "--j1", "1/2",
@@ -331,6 +333,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "8", "--zeta", "0.6")
         assert code == 0
         assert out.startswith("28/28 matched;")
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(4, "1e-3"), (30, "1e-3"), (40, "0.01"), (64, "0.01")]
+    )
+    def test_equal_label_points(self, capsys, n, zeta):
+        # Points with real equal-label pairs, whose vectors come from the
+        # block momenta a -+ q.
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--zeta", zeta)
+        dim = n * (n - 1) // 2
+        assert code == 0
+        assert out.startswith(f"{dim}/{dim} matched;")
 
     def test_dimension_cap(self, capsys):
         code, _, err = run(
@@ -616,3 +629,19 @@ class TestEmit:
     )
     def test_edge_cases(self, value):
         assert cli._json_indent2(value) == _stdlib_indent2(value)
+
+
+class TestImports:
+    def test_package_and_cli_load_only_numpy(self):
+        # mpmath and scipy are test tools or absent; the package must not
+        # pull them in, nor pay their import time.
+        code = (
+            "import sys, bethe_xxz, bethe_xxz.cli; "
+            "print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_subprocess_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

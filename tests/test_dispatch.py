@@ -27,7 +27,7 @@ class TestRouting:
         assert methods[SolutionClass.SINGULAR] == {"singular_exact"}
         assert methods[SolutionClass.INFINITE_FAMILY_REAL] == {
             "height_contour",
-            "equal_counting",
+            "momentum_block",
             "boundary_limit",
             "boundary_string",
         }

@@ -1,21 +1,21 @@
-"""Equal-label real pairs via the center/deviation counting function."""
+"""Equal-label real pairs as the top states of odd momentum blocks."""
 import logging
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from bethe_xxz import equal_solver
 from bethe_xxz.equal_solver import (
-    GRID_POINTS,
-    PHI_MIN,
+    DEFAULT_DEFECT_TOL,
     counting_w,
     solve_equal,
-    tan2x_complex_raw,
-    tan2x_limit,
     tan2x_of_phi,
 )
 from bethe_xxz.model import (
     BetheError,
+    BoundaryDegenerate,
     ChainParams,
     DenominatorVanishes,
     HalfInt,
@@ -27,10 +27,24 @@ from bethe_xxz.model import (
     ToleranceNotReached,
     bae_defect,
     bisect_monotone,
+    magnon_energy,
 )
-from bethe_xxz.quantum_numbers import enumerate_all, threshold_f
+from bethe_xxz.oracle import build_hamiltonian, momentum_blocks
+from bethe_xxz.quantum_numbers import (
+    _special_pairs,
+    classify_regime,
+    collapse_count,
+    enumerate_all,
+    has_extra_two_string,
+    threshold_f,
+)
+from reference import tan2x_complex_raw, tan2x_limit
 
 P86 = ChainParams(8, 0.6)
+# The grid of the counting-function scan that the block solver replaced,
+# kept for the reference scan below.
+PHI_MIN = 1e-9
+GRID_POINTS = 2048
 
 
 def _pair(tw):
@@ -56,18 +70,20 @@ class TestFrozenSolutions:
         assert s.lambda2.real == pytest.approx(0.0023727496657503905, abs=1e-12)
 
     def test_edge_pair_near_isotropic_point(self):
-        # The root sits in a ~5e-4 sliver of phi just before a branch jump;
-        # regression for the jump-edge bracketing of the scanner.
+        # The root sits in a ~5e-4 sliver of phi just before a jump of the
+        # counting function.  lambda2 is the 50-digit root: the old scan's
+        # 1.5704485683993008 was 3.8e-12 off it.
         p = ChainParams(22, 1e-3)
         s = solve_equal(_pair(21), p)
         assert s.lambda1.real == pytest.approx(0.003477566369981977, abs=1e-12)
-        assert s.lambda2.real == pytest.approx(1.5704485683993008, abs=1e-12)
+        assert s.lambda2.real == pytest.approx(1.5704485684030638, abs=1e-12)
 
     @pytest.mark.parametrize("zeta", [1e-3, 3e-3, 0.01])
     @pytest.mark.parametrize("tw", [3, -3])
     def test_four_site_family_pair_near_isotropic_point(self, zeta, tw):
-        # At N = 4 the grid step across the tangent wrap before the root is
-        # 0.98, under a jump threshold of 1; the scan used to miss it.
+        # At N = 4 the counting function's grid step across the tangent
+        # wrap before the root is 0.98: a scan with a jump threshold of 1
+        # missed it.
         p = ChainParams(4, zeta)
         q = QuantumPair(
             HalfInt(tw), HalfInt(tw), SolutionClass.INFINITE_FAMILY_REAL
@@ -85,6 +101,13 @@ class TestNoRealSolution:
     def test_narrow_pair_label_has_no_real_root(self):
         with pytest.raises(NoRealSolution):
             solve_equal(_pair(5), P86)
+
+    @pytest.mark.parametrize("tw", [1, 13, 55, -1, -55])
+    def test_label_outside_the_upper_quarter(self, tw):
+        # At (28, 1e-3) the blocks of +-1/2 and +-55/2 have a real top state,
+        # but it belongs to another label: only N/4 < |J| < N/2 carries one.
+        with pytest.raises(NoRealSolution):
+            solve_equal(_pair(tw), ChainParams(28, 1e-3))
 
 
 class TestSymmetry:
@@ -131,7 +154,10 @@ class TestCountingFunction:
     def test_metadata_reports_center_and_deviation(self):
         s = solve_equal(_pair(7), P86)
         meta = s.branch_meta
-        assert meta["method"] == "equal_counting"
+        assert meta["method"] == "momentum_block"
+        assert meta["branch"] == "real"
+        assert meta["k"] == 1  # N - 2 J for J = 7/2
+        assert 0.0 < meta["q"] <= 2.0 * math.pi / P86.n
         assert meta["center"] == pytest.approx(
             0.5 * (s.lambda1.real + s.lambda2.real), abs=1e-14
         )
@@ -240,11 +266,12 @@ def _reference_solve_equal(q, p, defect_tol=1e-10):
 
 
 def _outcome(solve, q, p):
+    """(lambda1, lambda2) of a solved pair, or the error's type and text."""
     try:
         s = solve(q, p)
     except BetheError as exc:
         return type(exc), str(exc)
-    return s, s.branch_meta
+    return s.lambda1.real, s.lambda2.real
 
 
 def _memoized_counting_w(p):
@@ -266,31 +293,199 @@ def _memoized_counting_w(p):
     return lookup
 
 
+# Largest |lambda - reference lambda| over the points of
+# test_same_result_as_reference_scan, measured before it was fixed
+# (1.2003e-10, at N = 4, zeta = 1e-3, -(3/2, 3/2)).  The scan is the
+# inexact one: TestCertificate puts the block solver within 1e-13 of the
+# 50-digit root there.
+SCAN_LAMBDA_BOUND = 1.21e-10
+
+
 class TestSharedRootFinder:
     @pytest.mark.parametrize("n", range(4, 50, 2))
     def test_same_result_as_reference_scan(self, n, monkeypatch):
-        # Every equal label, the complex ones (NoRealSolution) included.
-        # counting_w does not depend on the label, so both scans of every
-        # label in a sector share one memo of it: same floats, less time.
+        # Every equal label: the same ones raise NoRealSolution, with the
+        # same message, and the rest agree in lambda.  counting_w does not
+        # depend on the label, so the reference scans of a sector share
+        # one memo of it: same floats, less time.
         for zeta in (1e-3, 0.01, 0.1, 0.5):
             p = ChainParams(n, zeta)
             monkeypatch.setattr(
                 equal_solver, "counting_w", _memoized_counting_w(p)
             )
             for q in enumerate_all(p):
-                if q.j1 == q.j2:
-                    assert _outcome(solve_equal, q, p) == _outcome(
-                        _reference_solve_equal, q, p
-                    ), (n, zeta, q)
+                if q.j1 != q.j2:
+                    continue
+                got = _outcome(solve_equal, q, p)
+                want = _outcome(_reference_solve_equal, q, p)
+                if isinstance(want[0], float):
+                    assert max(
+                        abs(g - w) for g, w in zip(got, want)
+                    ) <= SCAN_LAMBDA_BOUND, (n, zeta, q)
+                else:
+                    assert got == want, (n, zeta, q)
 
     def test_debug_log_names_brackets_and_outcome(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
-            solve_equal(_pair(7), P86)
+            s = solve_equal(_pair(7), P86)
             with pytest.raises(NoRealSolution):
                 solve_equal(_pair(5), P86)
         found, missed = [r.getMessage() for r in caplog.records]
-        assert found.startswith("equal, J=3.5: brackets [(")
-        assert "jumps [], root phi=" in found
-        assert missed.startswith("equal, J=2.5: brackets ")
-        assert missed.endswith("no root")
+        assert found == (
+            f"equal, J=3.5: block k=1, q={s.branch_meta['q']!r} "
+            f"after {s.iterations} steps"
+        )
+        assert s.iterations > 0
+        assert missed == "equal, J=2.5: block k=3 has no real top state"
         assert {r.name for r in caplog.records} == {"bethe_xxz.equal_solver"}
+
+
+def _real_equal_labels(p):
+    """The real equal-label pairs of a sector, both signs.
+
+    Standard real pairs never have equal labels, so these are the equal
+    real labels of _special_pairs (TestInventory checks this against
+    enumerate_all).
+    """
+    return [
+        q for q in _special_pairs(p, classify_regime(p))
+        if q.j1 == q.j2 and q.cls.is_real
+    ]
+
+
+def _mp_pair(n, zeta, twice):
+    """(lambda1, lambda2) of the positive label twice/2 from a 50-digit root.
+
+    q is the root in (0, 2 pi / N) of Delta sin((N/2 - 1) q) = c sin(N q/2),
+    with c = |cos(pi k / N)| and k = N - twice; the momenta are a -+ q,
+    a = pi k / N, and tan(lambda) = tanh(zeta/2) cot(p/2), taken in
+    (0, pi).
+    """
+    with mpmath.workdps(50):
+        k = n - twice
+        zeta = mpmath.mpf(zeta)
+        link = abs(mpmath.cos(mpmath.pi * k / n))
+        delta = mpmath.cosh(zeta)
+
+        def gap(q):
+            return delta * mpmath.sin((mpmath.mpf(n) / 2 - 1) * q) - (
+                link * mpmath.sin(n * q / 2)
+            )
+
+        # Divided by sin((N/2 - 1) q) > 0, which takes out the root q = 0.
+        q = mpmath.findroot(
+            lambda q: gap(q) / mpmath.sin((mpmath.mpf(n) / 2 - 1) * q),
+            (mpmath.mpf("1e-30"), 2 * mpmath.pi / n),
+            solver="anderson",
+        )
+        assert 0 < q < 2 * mpmath.pi / n
+        assert abs(gap(q)) < mpmath.mpf("1e-45")
+        a = mpmath.pi * k / n
+        t = mpmath.tanh(zeta / 2)
+        return tuple(
+            float(mpmath.atan(t * mpmath.cot(m / 2)) % mpmath.pi)
+            for m in (a + q, a - q)
+        )
+
+
+ENVELOPE_ZETAS = [1e-3, 3e-3, 0.01, 0.03, 0.05, 0.1, 0.3, 0.6, 1.0]
+# Largest |lambda - 50-digit lambda| over the certificate's points, measured
+# before it was fixed (1.019e-13, at N = 64, zeta = 1e-3, (63/2, 63/2)).
+MPMATH_LAMBDA_BOUND = 1.1e-13
+
+
+class TestCertificate:
+    """Each real equal label against its block equation solved in mpmath."""
+
+    @pytest.mark.parametrize(
+        "n", [4, 6, 8, 10, 12, 16, 22, 30, 40, 50, 64, 80, 96, 128, 160, 200]
+    )
+    def test_lambda_is_the_block_root(self, n):
+        labels = [
+            (ChainParams(n, zeta), q)
+            for zeta in ENVELOPE_ZETAS + [0.52]
+            for q in _real_equal_labels(ChainParams(n, zeta))
+        ]
+        assert labels
+        for p, q in labels:
+            s = solve_equal(q, p)
+            if q.j1 < 0:
+                m = solve_equal(q.negated(), p)
+                assert (s.lambda1, s.lambda2) == (-m.lambda2, -m.lambda1)
+                continue
+            want = _mp_pair(n, p.zeta, q.j1.twice)
+            got = (s.lambda1.real, s.lambda2.real)
+            assert max(
+                abs(g - w) for g, w in zip(got, want)
+            ) <= MPMATH_LAMBDA_BOUND, (n, p.zeta, q)
+            # The paper's label check, N W(phi) = J.
+            assert counting_w(s.branch_meta["phi"], p, 1) == pytest.approx(
+                float(q.j1), abs=1e-9
+            )
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("zeta", ENVELOPE_ZETAS)
+    def test_every_real_equal_label_solves(self, zeta):
+        # Up to N = 64 the energy (magnon_energy of the stored rapidities,
+        # the CLI's energy field) is the top eigenvalue of block k, to 1e-12
+        # (6.1e-16 measured).
+        for n in range(4, 202, 2):
+            p = ChainParams(n, zeta)
+            tops = None
+            if n <= 64:
+                blocks = momentum_blocks(build_hamiltonian(p))
+                tops = [np.linalg.eigvalsh(block)[-1] for block in blocks]
+            for q in _real_equal_labels(p):
+                s = solve_equal(q, p)
+                assert s.residual <= DEFAULT_DEFECT_TOL, (n, q)
+                if tops is None:
+                    continue
+                top = tops[s.branch_meta["k"]]
+                energy = magnon_energy(s.lambda1, s.lambda2, p)
+                assert abs(energy - top) <= 1e-12 * max(1.0, abs(top)), (n, q)
+
+
+INVENTORY_ZETAS = [1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 5.0]
+
+
+class TestInventory:
+    """Where the real equal labels sit, from the enumeration alone."""
+
+    @pytest.mark.parametrize("zeta", INVENTORY_ZETAS)
+    def test_one_label_per_block_above_threshold(self, zeta):
+        # The real equal labels fill exactly the odd blocks k != N/2 with
+        # c = |cos(pi k / N)| > Delta (N - 2) / N, one label per block: the
+        # blocks whose top state is real.  Per sign, that is the m
+        # collapsed labels plus the edge pair when it stays real, and the
+        # half-odd labels above the threshold F.
+        for n in range(4, 402, 2):
+            p = ChainParams(n, zeta)
+            try:
+                labels = _real_equal_labels(p)
+            except BoundaryDegenerate:
+                continue
+            blocks = [(-q.j1.twice) % n for q in labels]
+            assert len(set(blocks)) == len(blocks), n
+            bar = p.delta * (n - 2) / n
+            want = [
+                k for k in range(1, n, 2)
+                if 2 * k != n and abs(math.cos(math.pi * k / n)) > bar
+            ]
+            assert sorted(blocks) == want, n
+            per_sign = collapse_count(p) + (not has_extra_two_string(p))
+            assert len(labels) == 2 * per_sign, n
+            f = threshold_f(p)
+            above = sum(
+                1 for twice in range(1, n, 2) if f < twice / 2.0
+            )
+            assert per_sign == above, n
+
+    @pytest.mark.parametrize("n,zeta", [(4, 1e-3), (22, 1e-3), (64, 0.01),
+                                        (64, 3.0), (100, 0.3)])
+    def test_special_pairs_hold_every_equal_label(self, n, zeta):
+        p = ChainParams(n, zeta)
+        equal = [q for q in enumerate_all(p) if q.j1 == q.j2]
+        assert sorted(q.key() for q in equal if q.cls.is_real) == sorted(
+            q.key() for q in _real_equal_labels(p)
+        )

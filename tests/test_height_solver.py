@@ -21,7 +21,6 @@ from bethe_xxz.height_solver import (
     _polish_log_form,
     _sector_height,
     contour_bracket,
-    diff_p,
     discontinuity_k,
     height,
     lambda_star,
@@ -43,6 +42,7 @@ from bethe_xxz.model import (
     bisect_monotone,
 )
 from bethe_xxz.quantum_numbers import enumerate_all
+from reference import diff_p
 
 P86 = ChainParams(8, 0.6)
 

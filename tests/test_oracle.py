@@ -184,18 +184,21 @@ class TestNoDenseMatrix:
 def _reference_momenta(pair, p):
     """Momenta p1, p2 of a pair and the log of its scattering factor S.
 
-    A bound state of a momentum block carries k and v: its momenta are
-    a -+ i v, with a = pi k / N shifted by pi where needed for cos a >= 0,
-    and S = e^{i N p2}.  Other pairs take their momenta from lambda and S
-    from the two-body scattering amplitude.
+    A pair solved in a momentum block carries k, with a = pi k / N shifted
+    by pi where needed for cos a >= 0: a bound state has momenta a -+ i v,
+    an equal-label real pair a -+ q, and S = e^{i N p2}.  Other pairs take
+    their momenta from lambda and S from the two-body scattering amplitude.
     """
     meta = pair.branch_meta
     if "k" in meta:
         a = math.pi * meta["k"] / p.n
         if math.cos(a) < 0.0:
             a -= math.pi
-        p2 = complex(a, meta["v"])
-        p1 = p2.conjugate()
+        if "q" in meta:
+            p1, p2 = complex(a - meta["q"]), complex(a + meta["q"])
+        else:
+            p2 = complex(a, meta["v"])
+            p1 = p2.conjugate()
         if meta.get("mirrored"):
             p1, p2 = -p1, -p2
         return p1, p2, 1j * p.n * p2

@@ -20,7 +20,6 @@ from bethe_xxz.model import (
     magnon_energy,
 )
 from bethe_xxz import string_solver
-from bethe_xxz.equal_solver import tan2x_limit
 from bethe_xxz.oracle import build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import (
     _special_pairs,
@@ -39,6 +38,7 @@ from bethe_xxz.string_solver import (
     tan2x_of_w,
     z1,
 )
+from reference import tan2x_limit
 
 P86 = ChainParams(8, 0.6)
 
