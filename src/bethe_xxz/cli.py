@@ -262,6 +262,8 @@ def cmd_verify(args):
         f"max energy error {match.max_energy_error:.3e}; "
         f"max vector residual {match.max_residual:.3e}"
     )
+    for note in match.unavailable:
+        print(f"note: {note}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -72,7 +72,7 @@ class DimensionOverflow(BetheError):
 
 
 class ZeroVector(BetheError):
-    """A wavefunction assembly produced a numerically null vector."""
+    """A wavefunction assembly gave a numerically null or non-finite vector."""
 
 
 class IncompleteSpectrum(BetheError):

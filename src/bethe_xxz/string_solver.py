@@ -168,10 +168,22 @@ def bound_state_momenta(pair: RapidityPair, p: ChainParams):
 
     A bound state has (a - i v, a + i v), rebuilt from the k and v in
     branch_meta, and a mirrored one the negated momenta of its partner.  An
-    equal-label real pair (equal_solver) has (a - q, a + q).
+    equal-label real pair (equal_solver) has (a - q, a + q).  A scattering
+    pair (height_solver) has K/2 -+ q, K = 2 pi k / N, unfolded, in the
+    order of its rapidities: lambda falls from pi/2 to -pi/2 as the
+    momentum rises through (0, 2 pi), so K/2 - q carries the larger lambda
+    exactly when q <= K/2.
     """
     meta = pair.branch_meta
-    if "q" in meta:
+    branch = meta.get("branch")
+    if branch == "scattering":
+        a, q = math.pi * meta["k"] / p.n, meta["q"]
+        larger, smaller = (a - q, a + q) if q <= a else (a + q, a - q)
+        sign = -1.0 if meta.get("mirrored") else 1.0
+        if sign * pair.lambda1.real < sign * pair.lambda2.real:
+            larger, smaller = smaller, larger
+        return complex(sign * larger), complex(sign * smaller)
+    if branch == "real":
         a = _block_momentum(meta["k"], p.n)
         return complex(a - meta["q"]), complex(a + meta["q"])
     if "v" not in meta:

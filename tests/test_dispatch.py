@@ -21,12 +21,11 @@ def _methods_by_class(p):
 class TestRouting:
     def test_every_enumerated_pair_solves(self):
         methods = _methods_by_class(P86)
-        assert methods[SolutionClass.STANDARD_REAL] == {"height_contour"}
+        assert methods[SolutionClass.STANDARD_REAL] == {"momentum_block"}
         assert methods[SolutionClass.NARROW_PAIR_COMPLEX] == {"momentum_block"}
         assert methods[SolutionClass.WIDE_PAIR_COMPLEX] == {"momentum_block"}
         assert methods[SolutionClass.SINGULAR] == {"singular_exact"}
         assert methods[SolutionClass.INFINITE_FAMILY_REAL] == {
-            "height_contour",
             "momentum_block",
             "boundary_limit",
             "boundary_string",

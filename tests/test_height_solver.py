@@ -1,8 +1,11 @@
-"""Distinct-label real pairs via the monotone height function."""
+"""Distinct-label real pairs as momentum-block scattering states, and the
+paper's height function that labels them."""
+import cmath
 import logging
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +18,11 @@ from bethe_xxz.dispatch import (
     solve_quantum_pairs,
 )
 from bethe_xxz.height_solver import (
+    DEFAULT_DEFECT_TOL,
     DISCONTINUITY_TOL,
     ContourBracket,
-    _height_guard,
+    _oriented,
     _polish_log_form,
-    _sector_height,
     contour_bracket,
     discontinuity_k,
     height,
@@ -30,6 +33,7 @@ from bethe_xxz.height_solver import (
 from bethe_xxz.model import (
     AtDiscontinuity,
     BetheError,
+    BoundaryDegenerate,
     ChainParams,
     HalfInt,
     NoRootInBracket,
@@ -40,9 +44,12 @@ from bethe_xxz.model import (
     ToleranceNotReached,
     bae_defect,
     bisect_monotone,
+    magnon_energy,
 )
+from bethe_xxz.oracle import _momentum, build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import enumerate_all
-from reference import diff_p
+from bethe_xxz.string_solver import bound_state_momenta
+from reference import diff_p, height_guard, sector_height
 
 P86 = ChainParams(8, 0.6)
 
@@ -161,11 +168,10 @@ class TestErrors:
             solve_pair(q, P86)
 
 
-# Reference copy of the unmemoized per-pair contour path: every edge is
-# bisected afresh for each pair, tan(mu1) is taken twice per height
-# evaluation, each pair is polished in its own label orientation with a
-# tangent taken afresh for every use, and the unpolished defect is
-# evaluated twice.  The solver must give the same floats.
+# The contour path that solved these pairs before the momentum blocks did:
+# the height is bisected on the contour of one label, between two
+# discontinuity points, for the other label.  It stays as the reference
+# that the block roots are compared with (TestContourPath).
 def _reference_pick_contour(j1, j2):
     if j1 > 0 and j2 > 0:
         return (j1, j2) if j1 > j2 else (j2, j1)
@@ -296,10 +302,10 @@ def _reference_dominant(j1, j2):
     return j1 if abs(j1) > abs(j2) else j2
 
 
-def _reference_solve_pair(q, p, defect_tol=1e-10):
+def _contour_solve_pair(q, p, defect_tol=1e-10):
     j1, j2 = q.j1, q.j2
     if _reference_dominant(j1, j2) < 0:
-        return _reference_solve_pair(q.negated(), p, defect_tol).negated()
+        return _contour_solve_pair(q.negated(), p, defect_tol).negated()
     jc, jt = _reference_pick_contour(j1, j2)
     if jc.twice == p.n - 1 and jt.twice == 1:
         lam_edge = math.nextafter(math.pi / 2.0, 0.0)
@@ -361,6 +367,86 @@ def _reference_solve_pair(q, p, defect_tol=1e-10):
     )
 
 
+def _reference_block(j1, j2, n):
+    """(k, m): the block and the level of the labels j1 + j2 >= 0."""
+    total, gap = float(j1) + float(j2), abs(float(j1) - float(j2))
+    k = round(-total) % n
+    return k, round(gap) if total > 0 else n - 2 - round(gap)
+
+
+def _reference_solve_pair(q, p, defect_tol=1e-10):
+    """The block path for one pair, written out afresh.
+
+    No lane is shared: the block and level come from the labels' floats,
+    F takes its constants afresh at every step, the rapidities are ordered
+    by hand and polished in the pair's own label order.  The solver must
+    give the same floats.
+    """
+    j1, j2 = q.j1, q.j2
+    if float(j1) + float(j2) < 0:
+        return _reference_solve_pair(q.negated(), p, defect_tol).negated()
+    n = p.n
+    k, m = _reference_block(j1, j2, n)
+    lo_label, hi_label = sorted((j1, j2))
+    if not 0 < m < n - 2:
+        raise NoRootInBracket(
+            f"labels ({lo_label}, {hi_label}) fall on level m={m} of "
+            f"block k={k}, outside 0 < m < {n - 2} (N={n}, zeta={p.zeta})"
+        )
+    if {j1.twice, j2.twice} == {1, n - 1}:
+        lam_edge = math.nextafter(math.pi / 2.0, 0.0)
+        l1, l2, iterations = 0.0, lam_edge, 0
+        residual = bae_defect(lam_edge, 0.0, p)
+        meta = {"method": "boundary_limit", "contour_j": str(HalfInt(n - 1))}
+        if j1 > j2:
+            l1, l2 = l2, l1
+    else:
+        def f(x):
+            return (
+                n * x
+                - 2.0 * math.atan2(
+                    math.sin(x), math.cos(x) - math.cos(math.pi * k / n) / p.delta
+                )
+                - m * math.pi
+            )
+
+        root, iterations = bisect_monotone(
+            f, m * math.pi / n, min(math.pi, (m + 2) * math.pi / n), xtol=0.0
+        )
+        lams = []
+        for momentum in (math.pi * k / n - root, math.pi * k / n + root):
+            lam = math.atan2(
+                p.t * math.cos(0.5 * momentum), math.sin(0.5 * momentum)
+            )
+            if lam > math.pi / 2.0:
+                lam -= math.pi
+            elif lam <= -math.pi / 2.0:
+                lam += math.pi
+            lams.append(lam)
+        small, large = min(lams), max(lams)
+        l1, l2 = (large, small) if j1 > j2 else (small, large)
+        polished = _polish_log_form(l1, l2, j1, j2, p)
+        residual = bae_defect(l1, l2, p)
+        if bae_defect(*polished, p) < residual:
+            l1, l2 = polished
+            residual = bae_defect(l1, l2, p)
+        meta = {
+            "method": "momentum_block", "branch": "scattering", "k": k,
+            "q": root,
+        }
+    if residual > defect_tol:
+        raise ToleranceNotReached(
+            f"defect {residual!r} above {defect_tol!r} for ({j1}, {j2})"
+        )
+    return RapidityPair(
+        lambda1=complex(l1),
+        lambda2=complex(l2),
+        residual=residual,
+        iterations=iterations,
+        branch_meta=meta,
+    )
+
+
 def _outcome(solve, q, p):
     """The solution with its metadata, or the error type and message."""
     try:
@@ -383,10 +469,11 @@ EQUIVALENCE_POINTS = [
 
 
 class TestMemoizedContours:
+    # The name stays from when the contours were memoized; the reference is
+    # now the block path written out afresh.
     @pytest.mark.parametrize("n,zeta", EQUIVALENCE_POINTS)
     def test_same_floats_as_reference_path(self, n, zeta):
         p = ChainParams(n, zeta)
-        discontinuity_k.cache_clear()
         for q in _real_distinct_pairs(p):
             expected = _outcome(_reference_solve_pair, q, p)
             assert _outcome(solve_pair, q, p) == expected, (q.j1, q.j2)
@@ -400,28 +487,21 @@ class TestMemoizedContours:
                 mu, HalfInt(5), P86
             )
 
-    @pytest.mark.parametrize("n,zeta", [(16, 0.3), (32, 2.0)])
-    def test_one_miss_per_edge_of_a_sector(self, n, zeta):
-        p = ChainParams(n, zeta)
-        discontinuity_k.cache_clear()
-        cold = _sector(p)
-        info = discontinuity_k.cache_info()
-        # Every contour is used, so every edge 3/2 .. (N-1)/2 is needed.
-        assert info.misses == info.currsize == n // 2 - 1
-        assert info.hits > info.misses
-        assert _sector(p) == cold
-        assert discontinuity_k.cache_info().misses == info.misses
-
-    def test_memo_miss_logs_edge_and_steps(self, caplog):
-        discontinuity_k.cache_clear()
+    def test_edge_logs_label_and_steps(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
             k = discontinuity_k(HalfInt(3), P86)
-            assert discontinuity_k(HalfInt(3), P86) == k
         (record,) = caplog.records
         assert record.name == "bethe_xxz.height_solver"
         message = record.getMessage()
         assert message.startswith(f"contour edge j1=3/2 N=8 zeta=0.6: k={k!r}")
         assert message.endswith("bisection steps")
+
+    def test_sector_solve_bisects_no_edge(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
+            _sector(ChainParams(16, 0.3))
+        assert not [
+            r for r in caplog.records if "contour edge" in r.getMessage()
+        ]
 
 
 def _batched(p):
@@ -485,23 +565,15 @@ class TestSectorBatch:
         expected = [_outcome(solve_pair, q, p) for q in pairs]
         assert _batch_outcomes(pairs, p) == expected
 
-    @pytest.mark.parametrize("n,zeta", [(8, 0.6), (32, 0.01), (48, 5.0)])
-    def test_every_lane_handed_off_at_once(self, n, zeta, monkeypatch):
-        # With an infinite guard numpy decides no step: every lane is the
-        # scalar bisection from the contour ends.
-        p = ChainParams(n, zeta)
-        pairs = _batched(p)
-        expected = [_outcome(solve_pair, q, p) for q in pairs]
-        monkeypatch.setattr(height_solver, "SIGN_GUARD", math.inf)
-        assert _batch_outcomes(pairs, p) == expected
-
     @pytest.mark.parametrize(
         "n,zeta",
         BATCH_POINTS[::5] + [(128, 0.3), (200, 0.05), (400, 0.05), (600, 0.1)],
     )
     def test_numpy_height_within_a_tenth_of_the_guard(self, n, zeta):
+        # An independent numpy evaluation of the paper's height (the label
+        # check), against the package's scalar one.
         p = ChainParams(n, zeta)
-        height_np = _sector_height(p)
+        height_np = sector_height(p)
         mu = np.linspace(1e-9, math.pi / 2.0 - 1e-9, 20001)
         h, clear = height_np(mu)
         assert clear.sum() > 0.9 * mu.size
@@ -509,20 +581,20 @@ class TestSectorBatch:
         for x, value in zip(mu[clear].tolist(), h[clear].tolist()):
             # The kernel is label-free; the label only names the contour.
             worst = max(worst, abs(value - height(x, HalfInt(1), p)))
-        assert worst < _height_guard(n) / 10.0
+        assert worst < height_guard(n) / 10.0
 
     def test_floor_step_is_never_clear(self):
         # At lambda_star the floor argument of the first equation is an
         # integer: numpy and the scalar kernel may floor to either side.
         for tw in (1, 3, 5):
             mu = np.array([lambda_star(HalfInt(tw), P86)])
-            _, clear = _sector_height(P86)(mu)
+            _, clear = sector_height(P86)(mu)
             assert not clear[0]
 
     def test_discontinuity_is_never_clear(self):
         k = discontinuity_k(HalfInt(5), P86)
         mu = np.array([math.nextafter(k, 0.0), k, math.nextafter(k, 2.0)])
-        _, clear = _sector_height(P86)(mu)
+        _, clear = sector_height(P86)(mu)
         assert not clear.any()
 
     def test_mirrored_and_reversed_pairs_share_a_lane(self, caplog):
@@ -530,8 +602,8 @@ class TestSectorBatch:
             QuantumPair(HalfInt(a), HalfInt(b), SolutionClass.STANDARD_REAL)
             for a, b in ((3, 5), (5, 3), (-3, -5), (-5, -3), (1, 3))
         ]
-        # Solving pair by pair first warms the contour memo, so the batch
-        # logs no edge line.
+        # (3/2, 5/2) and its kin are block 4, level 1; (1/2, 3/2) is block 6,
+        # level 1.  The batch logs one line and bisects no contour edge.
         expected = [solve_pair(q, P86) for q in pairs]
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
             out = solve_pairs(pairs, P86)
@@ -539,16 +611,14 @@ class TestSectorBatch:
         assert [o.branch_meta.get("mirrored") for o in out] == [
             None, None, True, True, None,
         ]
+        assert [o.branch_meta["k"] for o in out] == [4, 4, 4, 4, 6]
         (record,) = caplog.records
         assert record.name == "bethe_xxz.height_solver"
-        message = record.getMessage()
-        assert message.startswith(
-            "sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, "
-        )
-        assert "lockstep steps, " in message
-        assert re.search(
-            r"scalar steps, 2 lanes finished, [0-2] kept the polished pair$",
-            message,
+        steps = expected[0].iterations + expected[4].iterations
+        assert re.fullmatch(
+            f"sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, {steps} bisection "
+            r"steps, [0-2] kept the polished pair",
+            record.getMessage(),
         )
 
     @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
@@ -573,21 +643,21 @@ class TestSectorBatch:
         monkeypatch.setattr(height_solver, "bae_defect", counting_defect)
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
             assert _batch_outcomes(pairs, p) == expected
-        # A lane is the pair's (contour, target) after mirroring; every
+        # A lane is the pair's block and level (k, m) after mirroring; every
         # member of a lane whose bisection found a root is polished or fails
         # the defect tolerance.
         lanes = {}
         for q, (out, _) in zip(pairs, expected):
-            if _reference_dominant(q.j1, q.j2) < 0:
+            if float(q.j1) + float(q.j2) < 0:
                 q = q.negated()
-            lane = _reference_pick_contour(q.j1, q.j2)
+            lane = _reference_block(q.j1, q.j2, n)
             lanes.setdefault(lane, set()).add(
                 out.branch_meta["method"] if isinstance(out, RapidityPair)
                 else out
             )
         polished = [
             lane for lane, kinds in lanes.items()
-            if kinds <= {"height_contour", ToleranceNotReached}
+            if kinds <= {"momentum_block", ToleranceNotReached}
         ]
         boundary = [
             lane for lane, kinds in lanes.items() if kinds == {"boundary_limit"}
@@ -597,89 +667,42 @@ class TestSectorBatch:
         assert calls["defect"] == 2 * len(polished) + len(boundary)
         (record,) = caplog.records
         assert record.getMessage().endswith(
-            f"{len(polished)} lanes finished, {calls['kept']} kept the "
-            "polished pair"
+            f"bisection steps, {calls['kept']} kept the polished pair"
         )
 
     @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
     def test_one_bisection_finishes_each_lane(self, n, zeta, monkeypatch):
-        # numpy only narrows brackets: each bisected lane ends in exactly
-        # one bisect_monotone, resumed from its lockstep bracket with the
-        # iterations it has left, and counts the steps of both.
+        # Each lane is one bisect_monotone on [m pi / N, (m + 2) pi / N],
+        # run to adjacent floats, and its members report that root and its
+        # steps.
         p = ChainParams(n, zeta)
         pairs = _batched(p)
         expected = [_outcome(solve_pair, q, p) for q in pairs]
-        lockstep, finish = height_solver._lockstep, height_solver._finish_lane
-        rows, narrowed, bisections, iterations = [], [], [], []
-
-        def recording_lockstep(given, p):
-            out = lockstep(given, p)
-            rows.extend(given)
-            narrowed.extend(out)
-            return out
+        bisections = []
 
         def recording_bisect(f, lo, hi, **kwargs):
-            root, more = bisect_monotone(f, lo, hi, **kwargs)
-            bisections.append((lo, hi, kwargs["max_iter"], more))
-            return root, more
+            root, steps = bisect_monotone(f, lo, hi, **kwargs)
+            bisections.append((lo, hi, kwargs, root, steps))
+            return root, steps
 
-        def recording_finish(tc, tt, mu1, steps, *rest):
-            iterations.append(steps)
-            return finish(tc, tt, mu1, steps, *rest)
-
-        monkeypatch.setattr(height_solver, "_lockstep", recording_lockstep)
         monkeypatch.setattr(height_solver, "bisect_monotone", recording_bisect)
-        monkeypatch.setattr(height_solver, "_finish_lane", recording_finish)
         assert _batch_outcomes(pairs, p) == expected
-        assert len(bisections) == len(narrowed) == len(iterations) > 1
-        assert sum(done for _, _, done in narrowed) > 0
-        for (lo, hi, done), (b_lo, b_hi, budget, more), steps in zip(
-            narrowed, bisections, iterations
-        ):
-            assert (b_lo, b_hi) == (lo, hi)
-            assert budget == height_solver.MAX_ITER - done
-            assert steps == done + more
-
-        # Each narrowed bracket is the one the scalar bisection holds after
-        # as many steps from the contour's bracket.
-        for (lo0, hi0, xtol, target), (lo, hi, done) in zip(rows, narrowed):
-            # The kernel is label-free; the label only names the contour.
-            shifted = height_solver._contour_maps(HalfInt(1), p, target)[1]
-            assert bisect_monotone(
-                shifted, lo0, hi0, xtol=xtol, max_iter=done
-            ) == (0.5 * (lo + hi), done)
-
-    def test_lone_lane_skips_the_lockstep(self, monkeypatch, caplog):
-        # A pair and its reverse share one lane; solve_pair and the batch
-        # both bisect it from the contour's bracket, with no numpy step.
-        pairs = [
-            QuantumPair(HalfInt(a), HalfInt(b), SolutionClass.STANDARD_REAL)
-            for a, b in ((3, 5), (5, 3))
-        ]
-        expected = [solve_pair(q, P86) for q in pairs]
-        setup = height_solver._setup(HalfInt(5), P86)
-        calls = []
-
-        def recording_bisect(f, lo, hi, **kwargs):
-            calls.append((lo, hi, kwargs["max_iter"]))
-            return bisect_monotone(f, lo, hi, **kwargs)
-
-        def no_lockstep(rows, p):
-            raise AssertionError(f"lockstep over {len(rows)} lane(s)")
-
-        monkeypatch.setattr(height_solver, "bisect_monotone", recording_bisect)
-        monkeypatch.setattr(height_solver, "_lockstep", no_lockstep)
-        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
-            assert solve_pair(pairs[0], P86) == expected[0]
-            assert solve_pairs(pairs, P86) == expected
-        full = (setup.lo, setup.hi, height_solver.MAX_ITER)
-        assert calls == [full, full]
-        (record,) = caplog.records
-        assert record.getMessage().startswith(
-            "sector batch N=8 zeta=0.6: 2 pairs, 1 lanes, 0 lockstep steps, "
-            f"1 scalar hand-offs, {expected[0].iterations} scalar steps, "
-            "1 lanes finished, "
+        lanes = {}
+        for q, (out, meta) in zip(pairs, expected):
+            if meta.get("method") == "momentum_block":
+                if float(q.j1) + float(q.j2) < 0:
+                    q = q.negated()
+                _, m = _reference_block(q.j1, q.j2, n)
+                lanes[(meta["k"], m)] = (meta["q"], out.iterations)
+        assert len(bisections) == len(lanes) > 1
+        assert {(root, steps) for *_, root, steps in bisections} == set(
+            lanes.values()
         )
+        brackets = {(lo, hi) for lo, hi, *_ in bisections}
+        assert brackets == {
+            (m * math.pi / n, (m + 2) * math.pi / n) for _, m in lanes
+        }
+        assert all(kwargs == {"xtol": 0.0} for _, _, kwargs, _, _ in bisections)
 
     @settings(max_examples=300, deadline=None)
     @given(_polish_inputs())
@@ -720,3 +743,187 @@ class TestSectorBatch:
         assert any(isinstance(out, BetheError) for out in results)
         expected = [_outcome(solve_quantum_pair, q, p) for q in pairs]
         assert _as_outcomes(results) == expected
+
+
+# Largest |lambda - lambda of the contour path| over every distinct-label
+# real pair of even N 4-64, 100, 128 and 200 x ENVELOPE_ZETAS: 9.68e-13, at
+# (44, 1e-3), (-15/2, -43/2).  The contour path is the one that is off: the
+# block roots are within 1.6e-13 of mpmath (TestCertificate).
+LAMBDA_BOUND = 1e-12
+CONTOUR_POINTS = [
+    (n, zeta) for n in (4, 8, 16, 22, 32) for zeta in (1e-3, 0.3, 2.0)
+] + [(44, 1e-3)]
+
+
+class TestContourPath:
+    @pytest.mark.parametrize("n,zeta", CONTOUR_POINTS)
+    def test_lambda_near_the_contour_path(self, n, zeta):
+        p = ChainParams(n, zeta)
+        for q in _real_distinct_pairs(p):
+            old, new = _contour_solve_pair(q, p), solve_pair(q, p)
+            assert abs(new.lambda1 - old.lambda1) <= LAMBDA_BOUND, (q.j1, q.j2)
+            assert abs(new.lambda2 - old.lambda2) <= LAMBDA_BOUND, (q.j1, q.j2)
+
+
+def _mp_scattering(n, k, m, zeta):
+    """mpmath root q of F(q) = m pi in block k, and the sorted rapidities."""
+    with mpmath.workdps(60):
+        zeta = mpmath.mpf(zeta)
+        ratio = mpmath.cos(mpmath.pi * k / n) / mpmath.cosh(zeta)
+
+        def f(x):
+            return (
+                n * x
+                - 2 * mpmath.atan2(mpmath.sin(x), mpmath.cos(x) - ratio)
+                - m * mpmath.pi
+            )
+
+        root = mpmath.findroot(
+            f, (m * mpmath.pi / n, (m + 2) * mpmath.pi / n), solver="anderson"
+        )
+        t = mpmath.tanh(zeta / 2)
+        lams = sorted(
+            mpmath.atan(t * mpmath.cot((mpmath.pi * k / n + s * root) / 2))
+            for s in (-1, 1)
+        )
+        return float(root), [float(lam) for lam in lams]
+
+
+def _lane_sample(p, count):
+    """About count pairs with J1 < J2 and J1 + J2 >= 0, one per lane."""
+    lanes = [
+        q for q in enumerate_all(p)
+        if _goes_to_solve_pair(q, p) and q.j1 < q.j2
+        and q.j1.twice + q.j2.twice >= 0
+    ]
+    return lanes[:: max(1, len(lanes) // count)]
+
+
+CERTIFICATE_POINTS = [
+    (4, 1e-3), (8, 0.6), (16, 0.01), (22, 1e-3), (44, 1e-3), (48, 0.3),
+    (64, 2.0), (100, 5.0), (128, 1e-3), (200, 0.1), (200, 1e-3),
+]
+# Measured over these points first: 8.9e-16 for q and 1.51e-13 for lambda
+# (at (44, 1e-3); at small zeta lambda is ill-conditioned in the momentum).
+MP_Q_BOUND = 1e-15
+MP_LAMBDA_BOUND = 1.6e-13
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n,zeta", CERTIFICATE_POINTS)
+    def test_root_and_rapidities_match_mpmath(self, n, zeta):
+        p = ChainParams(n, zeta)
+        for q in _lane_sample(p, 12):
+            s = solve_pair(q, p)
+            if s.branch_meta["method"] == "boundary_limit":
+                continue
+            _, _, ((k, m), _) = _oriented(q, n)
+            root, lams = _mp_scattering(n, k, m, zeta)
+            assert s.branch_meta["k"] == k
+            assert abs(s.branch_meta["q"] - root) <= MP_Q_BOUND, (q.j1, q.j2)
+            # The larger rapidity belongs to the larger label.
+            assert abs(s.lambda1.real - lams[0]) <= MP_LAMBDA_BOUND
+            assert abs(s.lambda2.real - lams[1]) <= MP_LAMBDA_BOUND
+
+    @pytest.mark.parametrize(
+        "n,zeta",
+        [(n, zeta) for n in (4, 8, 16, 22, 48, 100, 200)
+         for zeta in (1e-3, 0.05, 0.6, 5.0)],
+    )
+    def test_height_returns_the_other_label(self, n, zeta):
+        # The paper's result (iv): on the contour of its larger label jc,
+        # the height at the rapidity of jc is the other label.  Measured
+        # first: |height - J| <= 5.2e-6 (at (200, 1e-3), where the closed
+        # form for the second rapidity is ill-conditioned).
+        p = ChainParams(n, zeta)
+        for q in _lane_sample(p, 40):
+            s = solve_pair(q, p)
+            jc, jt, mu = (
+                (q.j2, q.j1, s.lambda2.real) if q.j2 > 0
+                else (q.j1, q.j2, s.lambda1.real)
+            )
+            assert height(mu, jc, p) == pytest.approx(float(jt), abs=1e-5), (
+                q.j1, q.j2,
+            )
+
+
+ENVELOPE_ZETAS = [1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 3.0, 4.5, 5.0]
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("zeta", ENVELOPE_ZETAS)
+    def test_every_scattering_pair_solves(self, zeta):
+        # Measured first, over these points: defect <= 1.92e-13; for N <= 64
+        # magnon_energy of the stored rapidities is an eigenvalue of block k
+        # to 1.0e-15 relative; the momenta of bound_state_momenta equal
+        # those of the rapidities to 1.8e-15 mod 2 pi.
+        for n in list(range(4, 66, 2)) + [100, 128, 200]:
+            p = ChainParams(n, zeta)
+            pairs = _batched(p)
+            blocks = None
+            if n <= 64:
+                blocks = [
+                    np.linalg.eigvalsh(b)
+                    for b in momentum_blocks(build_hamiltonian(p))
+                ]
+            for q, s in zip(pairs, solve_pairs(pairs, p)):
+                assert isinstance(s, RapidityPair), (n, q.j1, q.j2, s)
+                assert s.residual <= DEFAULT_DEFECT_TOL
+                meta = s.branch_meta
+                # The other members of a lane are its exact swap and mirror.
+                if meta["method"] != "momentum_block" or not (
+                    q.j1 < q.j2 and q.j1.twice + q.j2.twice >= 0
+                ):
+                    continue
+                if blocks is not None:
+                    energy = magnon_energy(s.lambda1, s.lambda2, p)
+                    gap = np.min(np.abs(blocks[meta["k"]] - energy))
+                    assert gap <= 1e-12 * max(1.0, abs(energy)), (n, q.j1, q.j2)
+                pairs_momenta = zip(
+                    bound_state_momenta(s, p), (s.lambda1, s.lambda2)
+                )
+                for momentum, lam in pairs_momenta:
+                    off = cmath.exp(1j * momentum) - cmath.exp(
+                        1j * _momentum(lam, p)
+                    )
+                    assert abs(off) <= 1e-12, (n, q.j1, q.j2)
+
+
+INVENTORY_ZETAS = [1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 3.0, 5.0]
+# Every even N to 64, then a stride: enumerating every even N 4-200 takes
+# 1.4 s per zeta.  The full grid is run outside tier-1 (CHANGES.md).
+INVENTORY_NS = tuple(range(4, 66, 2)) + (66, 98, 100, 128, 150, 198, 200)
+
+
+class TestBlockInventory:
+    """Solve-free: the scattering labels of block k carry its levels."""
+
+    @pytest.mark.parametrize(
+        "ns,zeta",
+        [(INVENTORY_NS, zeta) for zeta in INVENTORY_ZETAS]
+        + [((256, 400), zeta) for zeta in (1e-3, 0.3, 5.0)],
+    )
+    def test_levels_fill_each_block(self, ns, zeta):
+        # The (k, m) map of the solver sends the distinct-label real labels
+        # of block k = -(J1 + J2) mod N onto {m = k + 1 (mod 2), 0 < m < N - 2},
+        # each level once.  A mirrored pair is solved in block N - k at
+        # level m, so in its own block it sits at q -> pi - q, level
+        # N - 2 - m.
+        checked = 0
+        for n in ns:
+            p = ChainParams(n, zeta)
+            try:
+                pairs = enumerate_all(p)
+            except BoundaryDegenerate:
+                continue
+            levels = {k: [] for k in range(n)}
+            for q in pairs:
+                if _goes_to_solve_pair(q, p):
+                    mirrored, _, ((k, m), _) = _oriented(q, n)
+                    if mirrored:
+                        k, m = -k % n, n - 2 - m
+                    levels[k].append(m)
+            for k, found in levels.items():
+                assert sorted(found) == list(range(1 + k % 2, n - 2, 2)), (n, k)
+            checked += 1
+        assert checked >= len(ns) - 1

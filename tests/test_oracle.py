@@ -26,6 +26,7 @@ from bethe_xxz.oracle import (
     ENERGY_RTOL,
     RESIDUAL_TOL,
     BetheVector,
+    _index,
     bethe_vector,
     build_hamiltonian,
     completeness_check,
@@ -44,14 +45,17 @@ class TestHamiltonian:
     def test_dimension_and_basis(self):
         ham = build_hamiltonian(ChainParams(4, 1.0))
         assert ham.dimension == 6
-        assert ham.basis == (
+        assert list(zip(*np.triu_indices(4, 1))) == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
-        )
+        ]
+        assert [_index(4, *conf) for conf in zip(*np.triu_indices(4, 1))] == [
+            0, 1, 2, 3, 4, 5
+        ]
 
     def test_hand_checked_entries_n4(self):
         p = ChainParams(4, 1.0)
         ham = build_hamiltonian(p)
-        idx = {conf: k for k, conf in enumerate(ham.basis)}
+        idx = {conf: k for k, conf in enumerate(_basis(p.n))}
         # Adjacent down-spins touch 2 anti-aligned bonds; the diametrically
         # opposite configuration (0, 2) touches all 4.
         assert ham.matrix[idx[(0, 1)], idx[(0, 1)]] == pytest.approx(-p.delta)
@@ -80,7 +84,7 @@ class TestHamiltonian:
         # of one down-spin to an empty neighbouring site.
         p = ChainParams(n, 0.6)
         ham = build_hamiltonian(p)
-        idx = {conf: k for k, conf in enumerate(ham.basis)}
+        idx = {conf: k for k, conf in enumerate(_basis(p.n))}
         expected = np.zeros((ham.dimension, ham.dimension))
         for (x1, x2), k in idx.items():
             down = {x1, x2}
@@ -181,15 +185,41 @@ class TestNoDenseMatrix:
         assert "matrix" in vars(ham)
 
 
+def _basis(n):
+    """The sector's basis states (x1, x2), in basis order."""
+    return [(int(a), int(b)) for a, b in zip(*np.triu_indices(n, 1))]
+
+
+def _lambda_momenta(pair, p):
+    hz = 0.5j * p.zeta
+    return [
+        -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
+        for lam in (pair.lambda1, pair.lambda2)
+    ]
+
+
 def _reference_momenta(pair, p):
     """Momenta p1, p2 of a pair and the log of its scattering factor S.
 
-    A pair solved in a momentum block carries k, with a = pi k / N shifted
-    by pi where needed for cos a >= 0: a bound state has momenta a -+ i v,
-    an equal-label real pair a -+ q, and S = e^{i N p2}.  Other pairs take
-    their momenta from lambda and S from the two-body scattering amplitude.
+    A pair solved in a momentum block carries k.  A scattering pair has
+    momenta pi k / N -+ q, each taken by the rapidity whose momentum it
+    equals mod 2 pi (negated if mirrored).  Otherwise a = pi k / N is
+    shifted by pi where needed for cos a >= 0: a bound state has momenta
+    a -+ i v, an equal-label real pair a -+ q.  S = e^{i N p2}.  Other
+    pairs take their momenta from lambda and S from the two-body
+    scattering amplitude.
     """
     meta = pair.branch_meta
+    if meta.get("branch") == "scattering":
+        a, q = math.pi * meta["k"] / p.n, meta["q"]
+        sign = -1.0 if meta.get("mirrored") else 1.0
+        first = _lambda_momenta(pair, p)[0].real
+
+        def off(x):
+            return abs(cmath.exp(1j * x) - cmath.exp(1j * first))
+
+        p1, p2 = sorted((sign * (a - q), sign * (a + q)), key=off)
+        return complex(p1), complex(p2), 1j * p.n * p2
     if "k" in meta:
         a = math.pi * meta["k"] / p.n
         if math.cos(a) < 0.0:
@@ -202,11 +232,7 @@ def _reference_momenta(pair, p):
         if meta.get("mirrored"):
             p1, p2 = -p1, -p2
         return p1, p2, 1j * p.n * p2
-    hz = 0.5j * p.zeta
-    p1, p2 = (
-        -1j * cmath.log(cmath.sin(lam + hz) / cmath.sin(lam - hz))
-        for lam in (pair.lambda1, pair.lambda2)
-    )
+    p1, p2 = _lambda_momenta(pair, p)
     e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
     num = e1 * e2 - 2.0 * p.delta * e2 + 1.0
     den = e1 * e2 - 2.0 * p.delta * e1 + 1.0
