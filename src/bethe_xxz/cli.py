@@ -256,15 +256,17 @@ def cmd_verify(args):
             f"{len(match.entries)}/{match.dimension} matched; "
             f"INCOMPLETE: {exc}"
         )
-        return EXIT_PARTIAL if match.unsolved else EXIT_INCOMPLETE
-    print(
-        f"{len(match.entries)}/{match.dimension} matched; "
-        f"max energy error {match.max_energy_error:.3e}; "
-        f"max vector residual {match.max_residual:.3e}"
-    )
+        code = EXIT_PARTIAL if match.unsolved else EXIT_INCOMPLETE
+    else:
+        print(
+            f"{len(match.entries)}/{match.dimension} matched; "
+            f"max energy error {match.max_energy_error:.3e}; "
+            f"max vector residual {match.max_residual:.3e}"
+        )
+        code = EXIT_OK
     for note in match.unavailable:
         print(f"note: {note}", file=sys.stderr)
-    return EXIT_OK
+    return code
 
 
 def _tolerance(text):

@@ -178,11 +178,10 @@ def bound_state_momenta(pair: RapidityPair, p: ChainParams):
     branch = meta.get("branch")
     if branch == "scattering":
         a, q = math.pi * meta["k"] / p.n, meta["q"]
-        larger, smaller = (a - q, a + q) if q <= a else (a + q, a - q)
         sign = -1.0 if meta.get("mirrored") else 1.0
-        if sign * pair.lambda1.real < sign * pair.lambda2.real:
-            larger, smaller = smaller, larger
-        return complex(sign * larger), complex(sign * smaller)
+        first_larger = sign * pair.lambda1.real > sign * pair.lambda2.real
+        p1, p2 = (a - q, a + q) if (q <= a) == first_larger else (a + q, a - q)
+        return complex(sign * p1), complex(sign * p2)
     if branch == "real":
         a = _block_momentum(meta["k"], p.n)
         return complex(a - meta["q"]), complex(a + meta["q"])

@@ -469,3 +469,28 @@ class TestCompleteness:
         assert match.max_energy_error < 1e-6
         assert match.max_residual < 1e-8
         assert "2 pairs unsolved" in str(info.value)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_energy_or_residual_fails(self, which, monkeypatch):
+        # A NaN compares false both ways, so `x > tol` would let it pass.
+        rayleigh, calls = oracle.rayleigh_energy, []
+
+        def nan_for_the_first_vector(vec, ham):
+            out = list(rayleigh(vec, ham))
+            if not calls:
+                out[which] = math.nan
+            calls.append(vec)
+            return tuple(out)
+
+        monkeypatch.setattr(oracle, "rayleigh_energy", nan_for_the_first_vector)
+        with pytest.raises(IncompleteSpectrum, match="nan"):
+            completeness_check(P86)
+
+    def test_regularized_cross_check_reported_unavailable(self):
+        # From zeta of about 695 the displaced singular rapidity overflows
+        # its momentum, and the regularized assembly is not finite.
+        assert completeness_check(P86).unavailable == ()
+        match = completeness_check(ChainParams(8, 700.0))
+        (note,) = match.unavailable
+        assert note.startswith("regularized singular cross-check unavailable")
+        assert len(match.entries) == 28
