@@ -24,7 +24,6 @@ from .model import (
     BetheError,
     BoundaryDegenerate,
     ChainParams,
-    DimensionOverflow,
     HalfInt,
     IncompleteSpectrum,
     QuantumPair,
@@ -32,7 +31,7 @@ from .model import (
     attempt,
     magnon_energy,
 )
-from .oracle import DEFAULT_MAX_DIM, completeness_check
+from .oracle import completeness_check
 from .quantum_numbers import (
     classify_regime,
     enumerate_all,
@@ -249,7 +248,7 @@ def cmd_solve_all(args):
 def cmd_verify(args):
     p = _chain_params(args)
     try:
-        match = completeness_check(p, max_dim=args.max_dim)
+        match = completeness_check(p)
     except IncompleteSpectrum as exc:
         match = exc.match
         print(
@@ -410,7 +409,6 @@ def _build_parser():
         "verify", help="completeness check against exact diagonalization"
     )
     common(sp)
-    sp.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("regime-map", help="regime label over a grid")
@@ -438,7 +436,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # The one place where an exception becomes an exit code; the order
-    # matters, since BoundaryDegenerate and DimensionOverflow are BetheErrors.
+    # matters, since BoundaryDegenerate is a BetheError.
     try:
         return args.func(args)
     except SystemExit as exc:
@@ -446,7 +444,7 @@ def main(argv=None):
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, OSError, DimensionOverflow) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BetheError as exc:

@@ -67,10 +67,6 @@ class DenominatorVanishes(BetheError):
     """A closed-form denominator is numerically zero."""
 
 
-class DimensionOverflow(BetheError):
-    """The sector dimension exceeds the configured dense-matrix cap."""
-
-
 class ZeroVector(BetheError):
     """A wavefunction assembly gave a numerically null or non-finite vector."""
 

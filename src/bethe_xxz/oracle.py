@@ -4,17 +4,20 @@ The two down-spin sector (dimension N(N-1)/2) commutes with translations,
 so it splits into N real tridiagonal blocks, one per total momentum
 K = 2 pi k / N (Karbach & Mueller, arXiv:cond-mat/9809162); the exact
 spectrum is the union of their eigenvalues.  Every solved rapidity pair is
-turned into a coordinate-ansatz wavefunction, assembled in Bloch form
-A(x1, x1 + r) = e^{iK x1} phi(r) from O(N) exponentials; its Rayleigh
-quotient must both be an eigenvalue and leave a tiny eigen-residual in the
-full sector, where H v is an O(dim) neighbour stencil.  Matching the full
-multiset of energies against the exact spectrum is the completeness check.
-No dense matrix is formed unless `SectorHamiltonian.matrix` is read.
+turned into a coordinate-ansatz wavefunction.  A pair whose K is a block
+momentum is a Bloch state, A(x1, x1 + r) = e^{iK x1} phi(r), and its
+vector is its N/2 - (k mod 2) amplitudes in block k; its Rayleigh
+quotient and eigen-residual come from that block's tridiagonal operator,
+in O(N).  Any other pair is assembled over the full sector, where H v is
+an O(dim) neighbour stencil.  Matching the full multiset of energies
+against the exact spectrum is the completeness check.  No dense matrix is
+formed unless `SectorHamiltonian.matrix` is read.
 """
 from __future__ import annotations
 
 import bisect as _bisect
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,7 +28,6 @@ from .dispatch import solve_quantum_pairs
 from .model import (
     BetheError,
     ChainParams,
-    DimensionOverflow,
     IncompleteSpectrum,
     QuantumPair,
     RapidityPair,
@@ -33,19 +35,22 @@ from .model import (
     ZeroVector,
 )
 from .quantum_numbers import enumerate_all
-from .string_solver import bound_state_momenta
+from .string_solver import _block_momentum, bound_state_momenta
 
-# The dense float64 view `SectorHamiltonian.matrix` takes dim^2 * 8 bytes.
-# Nothing in the package reads it (the spectrum comes from momentum blocks);
-# the cap bounds only that view, for callers that do (dim <= 11585).
-MAX_DENSE_BYTES = 2**30
-DEFAULT_MAX_DIM = math.isqrt(MAX_DENSE_BYTES // 8)
 NORM_TOL = 1e-10
 ENERGY_RTOL = 1e-6
 RESIDUAL_TOL = 1e-8
 SINGULAR_ENERGY_RTOL = 1e-4
 SINGULAR_RESIDUAL_TOL = 1e-4
 SINGULAR_EPS = 1e-6
+# A pair is a Bloch state of block k when its total momentum K lies within
+# this many block spacings 2 pi / N of 2 pi k / N.  Solved pairs sit at
+# rounding (at most 5.7e-14 spacings over even N 4-200 and zeta 1e-3 to
+# 300); the regularized singular pair, the one vector per sector that must
+# be assembled over the full sector, sits 1.3e-6 to 6.4e-2 spacings off.
+BLOCK_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,8 @@ class SectorHamiltonian:
     `diagonal` and `hops` are the neighbour stencil: column j of the
     (4, dim) array `hops` holds the basis indices reached from state j by
     one hop of amplitude 1/2, padded with `dimension` where a hop is
-    blocked.  `matrix` is the same operator, dense, built on first read.
+    blocked.  `blocks` is the same operator split by total momentum, and
+    `matrix` the same operator, dense.
     """
 
     n: int
@@ -73,24 +79,54 @@ class SectorHamiltonian:
 
     @cached_property
     def matrix(self):
-        """Dense H (dim^2 float64), derived from the stencil when read."""
+        """Dense H (dim^2 float64), derived from the stencil when read.
+
+        Nothing in src/ reads it; the tests and bench/ do.
+        """
         h = np.diag(self.diagonal)
         rows = np.broadcast_to(np.arange(self.dimension), self.hops.shape)
         open_ = self.hops < self.dimension
         np.add.at(h, (rows[open_], self.hops[open_]), 0.5)
         return h
 
+    @cached_property
+    def blocks(self):
+        """(diagonal, links) of the N tridiagonal momentum blocks.
+
+        Block k, at total momentum 2 pi k / N, acts on the relative
+        distance r = x2 - x1 folded to 1 <= r <= N/2: its diagonal is
+        -Delta at r = 1 and -2 Delta elsewhere, and the two hops of
+        amplitude 1/2 between r and r + 1 combine into the link
+        c = |cos(pi k / N)|.  For even k the r = N/2 state is its own
+        mirror, so its link carries sqrt(2); for odd k that state cancels.
+        """
+        n, half = self.n, self.n // 2
+        blocks = []
+        for k in range(n):
+            diagonal = np.full(half - k % 2, -2.0 * self.delta)
+            diagonal[0] = -self.delta
+            links = np.full(len(diagonal) - 1, abs(math.cos(math.pi * k / n)))
+            if k % 2 == 0:
+                links[-1] *= math.sqrt(2.0)
+            for array in (diagonal, links):  # shared by every caller
+                array.flags.writeable = False
+            blocks.append((diagonal, links))
+        return tuple(blocks)
+
 
 @dataclass(frozen=True)
 class BetheVector:
-    """Normalized coordinate-ansatz amplitudes over the sector basis.
+    """Normalized coordinate-ansatz amplitudes.
 
-    `norm` is taken before normalizing, with the largest plane-wave term
-    scaled to modulus 1.
+    With `k` None, over the sector basis; with `k` an int, over the basis
+    r = 1 ... N/2 - (k mod 2) of momentum block k (see `bethe_vector`).
+    `norm` is the norm over the sector basis, taken before normalizing,
+    with the largest plane-wave term scaled to modulus 1.
     """
 
     amplitudes: np.ndarray
     norm: float
+    k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +177,7 @@ def _bloch_coordinates(n):
     return arrays
 
 
-def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
+def build_hamiltonian(p: ChainParams):
     """Sector Hamiltonian over basis states |x1 < x2>, as a stencil.
 
     The states are in the order of np.triu_indices(N, 1).
@@ -152,11 +188,6 @@ def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
     """
     n = p.n
     dim = n * (n - 1) // 2
-    if dim > max_dim:
-        raise DimensionOverflow(
-            f"sector dimension {dim} exceeds cap {max_dim}: its dense "
-            f"matrix would take {dim * dim * 8} bytes"
-        )
     x1, x2 = np.triu_indices(n, 1)
     delta = p.delta
     # Each bond with anti-aligned spins contributes -delta/2 (the aligned
@@ -181,26 +212,11 @@ def build_hamiltonian(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
 
 
 def momentum_blocks(ham: SectorHamiltonian):
-    """The N real tridiagonal blocks of H, block k at momentum 2 pi k / N.
-
-    Block k acts on the relative distance r = x2 - x1 folded to
-    1 <= r <= N/2.  Its two hops of amplitude 1/2 combine into the link
-    c = |cos(pi k / N)|; for even k the r = N/2 state is its own mirror,
-    so its link carries sqrt(2), and for odd k that state cancels.
-    """
-    n, half = ham.n, ham.n // 2
-    blocks = []
-    for k in range(n):
-        size = half - k % 2
-        block = np.diag(np.full(size, -2.0 * ham.delta))
-        block[0, 0] = -ham.delta
-        links = np.full(size - 1, abs(math.cos(math.pi * k / n)))
-        if k % 2 == 0:
-            links[-1] *= math.sqrt(2.0)
-        r = np.arange(size - 1)
-        block[r, r + 1] = block[r + 1, r] = links
-        blocks.append(block)
-    return blocks
+    """The N real tridiagonal blocks of H (`ham.blocks`), as dense arrays."""
+    return [
+        np.diag(diagonal) + np.diag(links, 1) + np.diag(links, -1)
+        for diagonal, links in ham.blocks
+    ]
 
 
 def exact_spectrum(ham: SectorHamiltonian):
@@ -247,9 +263,71 @@ def _momenta(pair: RapidityPair, p: ChainParams):
     return p1, p2, cmath.log(-num) - cmath.log(den)
 
 
+def _block_of(total, n):
+    """k if the total momentum is 2 pi k / N to within BLOCK_TOL, else None."""
+    steps = total * (n / (2.0 * math.pi))
+    k = round(steps.real)
+    if abs(steps - k) > BLOCK_TOL:
+        return None
+    return k % n
+
+
 def bethe_vector(pair: RapidityPair, p: ChainParams):
-    """Two-magnon coordinate-ansatz amplitudes for a rapidity pair."""
+    """Two-magnon coordinate-ansatz amplitudes for a rapidity pair.
+
+    A pair whose total momentum is a block momentum 2 pi k / N (every
+    solved pair) gets its unit amplitudes in block k; any other pair gets
+    its amplitudes over the full sector, with k None.
+    """
     p1, p2, log_s = _momenta(pair, p)
+    total = p1 + p2
+    if not (cmath.isfinite(total) and cmath.isfinite(log_s)):
+        raise ZeroVector(
+            f"momenta {p1!r}, {p2!r} or scattering log {log_s!r} not finite"
+        )
+    k = _block_of(total, p.n)
+    if k is None:
+        amplitudes = _sector_amplitudes(p1, p2, log_s, p.n)
+        scale = 1.0
+    else:
+        amplitudes = _block_amplitudes(p1, p2, log_s, k, p.n)
+        scale = math.sqrt(p.n)  # left out of every block amplitude
+    norm = scale * _norm(amplitudes)
+    if not NORM_TOL <= norm < math.inf:
+        raise ZeroVector(
+            f"assembled wavefunction has norm {norm!r}, outside "
+            f"[{NORM_TOL!r}, inf)"
+        )
+    amplitudes /= norm / scale
+    return BetheVector(amplitudes=amplitudes, norm=norm, k=k)
+
+
+def _block_amplitudes(p1, p2, log_s, k, n):
+    """phi(r) of a Bloch state, gauged and folded into the basis of block k.
+
+    phi(r) = e^{i p2 r} + S e^{i p1 r}, with the largest plane-wave term
+    over r = 1 ... N - 1 at modulus 1.  With a = K/2 folded so that
+    cos a >= 0 (the sign of block k's links), the block amplitude is
+    e^{-i a r} phi(r) for r = 1 ... N/2 - (k mod 2), and 1/sqrt(2) of it
+    at r = N/2 for even k: r and N - r carry the same state, and r = N/2
+    only once.  Returned without the common factor sqrt(N).
+    """
+    a = _block_momentum(k, n)
+    # |e^{i p r}| is monotonic in r, so each wave peaks at r = 1 or N - 1.
+    shift = max(
+        max(-p2.imag, -p2.imag * (n - 1)),
+        log_s.real + max(-p1.imag, -p1.imag * (n - 1)),
+    )
+    r = np.arange(1.0, n // 2 + 1 - k % 2)
+    amplitudes = np.exp((1j * (p2 - a)) * r - shift)
+    amplitudes += np.exp((1j * (p1 - a)) * r + (log_s - shift))
+    if k % 2 == 0:
+        amplitudes[-1] *= math.sqrt(0.5)
+    return amplitudes
+
+
+def _sector_amplitudes(p1, p2, log_s, n):
+    """Amplitudes of a pair over the full sector, in basis order."""
     # Bloch form, with r = x2 - x1 and total momentum K = p1 + p2:
     #   A = e^{iK x1} (e^{i p2 r} + S e^{i p1 r})
     #     = e^{iK x2} (e^{-i p1 r} + S e^{-i p2 r}).
@@ -258,42 +336,47 @@ def bethe_vector(pair: RapidityPair, p: ChainParams):
     # exponentiating.  |e^{iKx}| peaks at x1 = 0 when Im K >= 0 and at
     # x2 = N - 1 otherwise; every r meets that site, so the largest amplitude
     # lands at modulus 1 too and `norm` keeps its meaning.
-    k = p1 + p2
-    by_x1, by_x2, x1, x2, r = _bloch_coordinates(p.n)
-    if k.imag >= 0:
-        grid, site, momenta = by_x1, x1, (k, p2, p1)
+    total = p1 + p2
+    by_x1, by_x2, x1, x2, r = _bloch_coordinates(n)
+    if total.imag >= 0:
+        grid, site, momenta = by_x1, x1, (total, p2, p1)
     else:
-        grid, site, momenta = by_x2, x2, (k, -p1, -p2)
+        grid, site, momenta = by_x2, x2, (total, -p1, -p2)
     waves = 1j * np.array(momenta)[:, None] * grid
     waves[2] += log_s
     top = waves.real.max(axis=1)
     waves[0] -= top[0]
     waves[1:] -= max(top[1], top[2])
     bloch, direct, exchanged = np.exp(waves, out=waves)
-    amplitudes = bloch[site] * (direct + exchanged)[r]
-    norm = float(np.linalg.norm(amplitudes))
-    if not NORM_TOL <= norm < math.inf:
-        raise ZeroVector(
-            f"assembled wavefunction has norm {norm!r}, outside "
-            f"[{NORM_TOL!r}, inf)"
-        )
-    amplitudes /= norm
-    return BetheVector(amplitudes=amplitudes, norm=norm)
+    return bloch[site] * (direct + exchanged)[r]
 
 
 def rayleigh_energy(vec: BetheVector, ham: SectorHamiltonian):
     """Rayleigh quotient and relative eigen-residual of a unit vector.
 
-    The residual |H v - E v| is divided by max(1, |E|), as the energy error
-    is: at strong anisotropy H scales like Delta, and the unscaled residual
+    A block vector is applied to its block's tridiagonal operator, in
+    O(N); a full-sector vector to the O(dim) stencil.  The residual
+    |H v - E v| is divided by max(1, |E|), as the energy error is: at
+    strong anisotropy H scales like Delta, and the unscaled residual
     measures only its rounding (or overflows in the norm).
     """
     v = vec.amplitudes
-    hv = ham.apply(v)
-    energy = float(np.real(np.vdot(v, hv)))
-    scale = max(1.0, abs(energy))
-    residual = float(np.linalg.norm((hv - energy * v) / scale))
-    return energy, residual
+    if vec.k is None:
+        hv = ham.apply(v)
+    else:
+        diagonal, links = ham.blocks[vec.k]
+        hv = diagonal * v
+        hv[:-1] += links * v[1:]
+        hv[1:] += links * v[:-1]
+    energy = float(np.vdot(v, hv).real)
+    hv -= energy * v
+    hv /= max(1.0, abs(energy))
+    return energy, _norm(hv)
+
+
+def _norm(v):
+    """Euclidean norm of a complex vector; NaN if it holds a NaN."""
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def regularized_singular_pair(p: ChainParams, eps=SINGULAR_EPS):
@@ -328,19 +411,18 @@ def singular_vector(ham: SectorHamiltonian):
     """Closed-form eigenvector carried by the singular pair.
 
     Alternating amplitudes (-1)^x1 on nearest-neighbour configurations
-    (x, x+1), with -1 on the wrap pair (0, N-1); an exact eigenvector at
-    energy -Delta for every even N.  Used for the eigen-residual check: the
-    regularized coordinate assembly spans a dynamic range of eps^-(N-2) and
-    cannot reach small residuals in double precision, although its Rayleigh
-    energy does converge and is cross-checked against this vector's.
+    (x, x+1), with -1 on the wrap pair (0, N-1): the Bloch state of block
+    N/2 (c = 0) at r = 1, an exact eigenvector at energy -Delta for every
+    even N, with norm sqrt(N) over the sector.  Used for the eigen-residual
+    check: the regularized coordinate assembly spans a dynamic range of
+    eps^-(N-2) and cannot reach small residuals in double precision,
+    although its Rayleigh energy does converge and is cross-checked against
+    this vector's.
     """
-    n = ham.n
-    x = np.arange(n - 1)
-    amplitudes = np.zeros(ham.dimension, dtype=complex)
-    amplitudes[_index(n, x, x + 1)] = (-1.0) ** x
-    amplitudes[_index(n, 0, n - 1)] = -1.0
-    norm = float(np.linalg.norm(amplitudes))
-    return BetheVector(amplitudes=amplitudes / norm, norm=norm)
+    k = ham.n // 2
+    amplitudes = np.zeros(k - k % 2, dtype=complex)
+    amplitudes[0] = 1.0
+    return BetheVector(amplitudes=amplitudes, norm=math.sqrt(ham.n), k=k)
 
 
 def _tolerances_for(q: QuantumPair):
@@ -349,7 +431,7 @@ def _tolerances_for(q: QuantumPair):
     return ENERGY_RTOL, RESIDUAL_TOL
 
 
-def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
+def completeness_check(p: ChainParams):
     """Match the energies of every enumerated pair against the ED spectrum.
 
     Greedy nearest-value matching over the sorted exact spectrum, each
@@ -360,12 +442,13 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
     eigenvalue, oversize energy error, or oversize eigen-residual.  Every
     gate is written so that a NaN fails it.
     """
-    ham = build_hamiltonian(p, max_dim=max_dim)
+    ham = build_hamiltonian(p)
     available = list(exact_spectrum(ham))
     solved = []
     unsolved = []
     failures = []
     unavailable = []
+    vector_blocks = []  # k of every vector built, None for the sector
     pairs = enumerate_all(p)
     for q, rap in zip(pairs, solve_quantum_pairs(pairs, p)):
         if isinstance(rap, BetheError):
@@ -387,6 +470,7 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
                         f"regularized singular cross-check unavailable: {exc}"
                     )
                 else:
+                    vector_blocks.append(reg_vec.k)
                     reg_energy, _ = rayleigh_energy(reg_vec, ham)
                     if not abs(reg_energy - energy) <= SINGULAR_ENERGY_RTOL * (
                         max(1.0, abs(energy))
@@ -402,6 +486,12 @@ def completeness_check(p: ChainParams, max_dim=DEFAULT_MAX_DIM):
             unsolved.append((q, exc))
             continue
         solved.append((q, rap, energy, residual))
+        vector_blocks.append(vec.k)
+    full = vector_blocks.count(None)
+    log.debug(
+        "verify N=%d zeta=%r: %d block vectors, %d full-space vectors",
+        p.n, p.zeta, len(vector_blocks) - full, full,
+    )
     if unsolved:
         failures.append(
             f"{len(unsolved)} pairs unsolved: "

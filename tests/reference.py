@@ -120,3 +120,27 @@ def log_bae_residual(lambda1, lambda2, j1, j2, p):
         )
         res = max(res, abs(lhs - rhs))
     return res
+
+
+def sector_amplitudes(vec, n):
+    """The amplitudes of a block vector over the sector basis, in basis order.
+
+    Unfolds the unit block amplitudes b(r), r = 1 ... N/2 - (k mod 2), of
+    block k: chi(r) = b(r) / sqrt(N) (sqrt(2) b(N/2) / sqrt(N) at r = N/2),
+    chi(N - r) = (-1)^k chi(r), phi(r) = e^{i a r} chi(r) with a = pi k / N
+    shifted by pi where needed for cos a >= 0, and
+    A(x1, x2) = e^{2 i a x1} phi(x2 - x1).  The result has unit norm.
+    """
+    k, half = vec.k, n // 2
+    a = math.pi * k / n
+    if math.cos(a) < 0.0:
+        a -= math.pi
+    b = np.zeros(half + 1, dtype=complex)
+    b[1:1 + len(vec.amplitudes)] = vec.amplitudes
+    if k % 2 == 0:
+        b[half] *= math.sqrt(2.0)
+    x1, x2 = np.triu_indices(n, 1)
+    r = x2 - x1
+    chi = b[np.minimum(r, n - r)] / math.sqrt(n)
+    chi[r > half] *= (-1.0) ** k
+    return np.exp(1j * a * (2 * x1 + r)) * chi

@@ -141,7 +141,11 @@ def test_04_extra_string_transition(capsys):
 
 
 def test_05_collapse_critical_size(capsys):
-    """First collapsed two-string appears between 21 and 22 sites."""
+    """First collapsed two-string appears between 21 and 22 sites.
+
+    At N = 22 every state of the sector, the collapsed pairs included, is
+    matched against exact diagonalization.
+    """
     start = time.perf_counter()
     below = collapse_count_value(21, 1e-3)
     above = collapse_count_value(22, 1e-3)
@@ -149,10 +153,18 @@ def test_05_collapse_critical_size(capsys):
     assert below == 0
     assert above >= 1
     assert elapsed < 1.0
+    start = time.perf_counter()
+    code = cli_main(["verify", "--n", "22", "--zeta", "1e-3"])
+    verify_elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("231/231 matched;")
+    assert verify_elapsed < 5.0
     with capsys.disabled():
         _report(
             f"5. collapse count 0 at N=21 and {above} at N=22 for "
-            f"zeta=1e-3 ({elapsed:.2f}s < 1s)"
+            f"zeta=1e-3 ({elapsed:.2f}s < 1s); verify N=22 matches "
+            f"231/231 ({verify_elapsed:.2f}s < 5s)"
         )
 
 

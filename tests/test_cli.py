@@ -348,14 +348,12 @@ class TestVerify:
         assert code == 0
         assert out.startswith(f"{dim}/{dim} matched;")
 
-    def test_dimension_cap(self, capsys):
-        code, _, err = run(
-            capsys, "verify", "--n", "40", "--zeta", "0.6",
-            "--max-dim", "100",
-        )
-        assert code == 2
-        assert "exceeds" in err
-        assert "bytes" in err
+    def test_n200_with_no_dense_cap(self, capsys):
+        # dim 19 900, whose dense matrix would take 3.2 GB: every vector
+        # lives in its momentum block, and no dense matrix is formed.
+        code, out, _ = run(capsys, "verify", "--n", "200", "--zeta", "0.3")
+        assert code == 0
+        assert out.startswith("19900/19900 matched;")
 
     def test_solver_failure_exits_partial(self, capsys, fail_complex):
         # The narrow pairs (+-9/2, +-9/2) are made to fail at (16, 0.6); the
@@ -439,10 +437,6 @@ EXIT_CASES = {
         ["enumerate", "--n", "8", "--zeta", "0.6",
          "--output", "{tmp}/missing/pairs.json"], 2,
         "error: [Errno 2] No such file or directory",
-    ),
-    "dimension-cap": (
-        ["verify", "--n", "40", "--zeta", "0.6", "--max-dim", "100"], 2,
-        "error: sector dimension 780 exceeds cap 100",
     ),
     "degenerate-boundary": (
         ["enumerate", "--n", "12", "--zeta", repr(_degenerate_zeta())], 3,

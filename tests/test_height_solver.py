@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bethe_xxz import height_solver
 from bethe_xxz.dispatch import (
     _goes_to_solve_pair,
+    is_boundary_family_pair,
     solve_quantum_pair,
     solve_quantum_pairs,
 )
@@ -47,8 +48,13 @@ from bethe_xxz.model import (
     magnon_energy,
 )
 from bethe_xxz.oracle import _momentum, build_hamiltonian, momentum_blocks
-from bethe_xxz.quantum_numbers import enumerate_all
-from bethe_xxz.string_solver import bound_state_momenta
+from bethe_xxz.quantum_numbers import (
+    collapse_count,
+    enumerate_all,
+    has_extra_two_string,
+    threshold_f,
+)
+from bethe_xxz.string_solver import block_index, bound_state_momenta
 from reference import diff_p, height_guard, sector_height
 
 P86 = ChainParams(8, 0.6)
@@ -925,5 +931,56 @@ class TestBlockInventory:
                     levels[k].append(m)
             for k, found in levels.items():
                 assert sorted(found) == list(range(1 + k % 2, n - 2, 2)), (n, k)
+            checked += 1
+        assert checked >= len(ns) - 1
+
+    @pytest.mark.parametrize(
+        "ns,zeta",
+        [(INVENTORY_NS, zeta) for zeta in INVENTORY_ZETAS]
+        + [((256, 400), zeta) for zeta in (1e-3, 0.3, 5.0)],
+    )
+    def test_one_other_label_per_block(self, ns, zeta):
+        # Besides its scattering labels, block k = -(J1 + J2) mod N holds
+        # exactly one label: a bound state (a complex pair), the real top
+        # state (an equal real label), the singular pair (in block N/2), or
+        # the edge string, the bound state of block 0, whose labels sum to
+        # N/2.  With the levels above that fills the block's dimension.
+        # Real top states sit in odd blocks only: per sign, those of the
+        # collapsed labels and of the edge pair while it stays real, as
+        # many as the half-odd labels above the threshold F.
+        checked = 0
+        for n in ns:
+            p = ChainParams(n, zeta)
+            try:
+                pairs = enumerate_all(p)
+            except BoundaryDegenerate:
+                continue
+            others = {k: [] for k in range(n)}
+            for q in pairs:
+                if _goes_to_solve_pair(q, p):
+                    continue
+                k = block_index(q, n)
+                if q.cls is SolutionClass.SINGULAR:
+                    kind = "singular"
+                    assert k == n // 2, (n, q.key())
+                elif q.cls.is_complex:
+                    kind = "bound"
+                elif is_boundary_family_pair(q, p):
+                    kind = "edge"
+                    k = (k + n // 2) % n
+                else:
+                    kind = "top"
+                    assert q.cls.is_real and q.j1 == q.j2, (n, q.key())
+                others[k].append(kind)
+            assert all(len(kinds) == 1 for kinds in others.values()), n
+            assert others[0] == ["edge"], n
+            real_tops = sum(
+                others[k] == ["top"] for k in range(1, n, 2)
+            )
+            per_sign = collapse_count(p) + (not has_extra_two_string(p))
+            f = threshold_f(p)
+            above = sum(1 for twice in range(1, n, 2) if f < twice / 2.0)
+            assert real_tops == 2 * per_sign == 2 * above, n
+            assert not any(others[k] == ["top"] for k in range(0, n, 2)), n
             checked += 1
         assert checked >= len(ns) - 1

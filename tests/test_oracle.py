@@ -1,5 +1,6 @@
 """Exact-diagonalization oracle: Hamiltonian, wavefunctions, completeness."""
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from bethe_xxz.dispatch import solve_quantum_pair, solve_quantum_pairs
 from bethe_xxz.model import (
     BetheError,
     ChainParams,
-    DimensionOverflow,
     HalfInt,
     IncompleteSpectrum,
     QuantumPair,
@@ -37,6 +37,7 @@ from bethe_xxz.oracle import (
     singular_vector,
 )
 from bethe_xxz.quantum_numbers import enumerate_all
+from reference import sector_amplitudes
 
 P86 = ChainParams(8, 0.6)
 
@@ -124,15 +125,6 @@ class TestHamiltonian:
         assert float(np.sum(spec)) == pytest.approx(
             float(np.trace(ham.matrix)), rel=1e-12
         )
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionOverflow):
-            build_hamiltonian(P86, max_dim=10)
-
-    def test_default_cap_bounds_dense_bytes(self):
-        # N = 200 has dim 19 900: a 3.2 GB dense matrix, refused up front.
-        with pytest.raises(DimensionOverflow, match="3168080000 bytes"):
-            build_hamiltonian(ChainParams(200, 1.0))
 
 
 class TestMomentumBlocks:
@@ -289,11 +281,12 @@ class TestBetheVector:
         p = ChainParams(n, 0.6)
         q = QuantumPair(HalfInt.parse(j1), HalfInt.parse(j2), cls)
         sol = solve_quantum_pair(q, p)
-        a = bethe_vector(sol, p).amplitudes
+        a = sector_amplitudes(bethe_vector(sol, p), n)
         b = _reference_amplitudes(sol, p)
         assert abs(abs(np.vdot(a, b)) / np.linalg.norm(b) - 1.0) < 1e-12
-        # Both assemblies only rescale by positive reals, so the Bloch form
-        # equals the normalized reference amplitude by amplitude.
+        # Both assemblies only rescale by positive reals, so the unfolded
+        # block vector equals the normalized reference amplitude by
+        # amplitude.
         assert np.max(np.abs(a - b / np.linalg.norm(b))) <= 1e-12
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -349,9 +342,10 @@ class TestBlochForm:
                 continue
             b = _reference_amplitudes(sol, p)
             vec = bethe_vector(sol, p)
-            assert np.max(np.abs(vec.amplitudes - b / np.linalg.norm(b))) <= (
-                1e-12
-            ), (q.j1, q.j2)
+            a = sector_amplitudes(vec, n)
+            assert np.max(np.abs(a - b / np.linalg.norm(b))) <= 1e-12, (
+                q.j1, q.j2
+            )
             old = _outer_sum_vector(sol, p)
             assert vec.norm == pytest.approx(old.norm, rel=1e-12)
             passes, energy = _passes(vec, ham, spectrum)
@@ -381,6 +375,81 @@ class TestBlochForm:
         assert np.max(np.abs(vec.amplitudes - old.amplitudes)) <= 1e-12
 
 
+# Largest differences measured over every even N 4-30 x REFERENCE_ZETAS
+# (every solved pair and the singular vector): block against full-sector
+# energy 1.0e-15 relative, eigen-residual 2.7e-15 absolute, and block
+# against dense spectrum 5.5e-15 relative.
+REFERENCE_ZETAS = (1e-3, 0.05, 0.6, 5.0)
+BLOCK_ENERGY_BOUND = 4e-15
+BLOCK_RESIDUAL_BOUND = 1e-14
+BLOCK_SPECTRUM_BOUND = 2e-14
+
+
+class TestBlockReference:
+    """Block vectors and spectrum against the full sector, even N <= 30."""
+
+    @pytest.mark.parametrize("zeta", REFERENCE_ZETAS)
+    def test_block_values_equal_full_sector(self, zeta):
+        for n in range(4, 31, 2):
+            p = ChainParams(n, zeta)
+            ham = build_hamiltonian(p)
+            dense = np.linalg.eigvalsh(ham.matrix)
+            assert np.max(
+                np.abs(exact_spectrum(ham) - dense)
+                / np.maximum(1.0, np.abs(dense))
+            ) <= BLOCK_SPECTRUM_BOUND, n
+            pairs = enumerate_all(p)
+            for q, sol in zip(pairs, solve_quantum_pairs(pairs, p)):
+                assert not isinstance(sol, BetheError), (n, q.key())
+                if q.cls is SolutionClass.SINGULAR:
+                    vec = singular_vector(ham)
+                else:
+                    vec = bethe_vector(sol, p)
+                    # The norm over the sector, as the full-sector
+                    # assembly of the same momenta gives it.
+                    momenta = oracle._momenta(sol, p)
+                    old = oracle._sector_amplitudes(*momenta, n)
+                    assert vec.norm == pytest.approx(
+                        float(np.linalg.norm(old)), rel=1e-12
+                    ), (n, q.key())
+                assert vec.k is not None, (n, q.key())
+                energy, residual = rayleigh_energy(vec, ham)
+                full = BetheVector(sector_amplitudes(vec, n), vec.norm)
+                full_energy, full_residual = rayleigh_energy(full, ham)
+                assert abs(energy - full_energy) <= BLOCK_ENERGY_BOUND * max(
+                    1.0, abs(full_energy)
+                ), (n, q.key())
+                assert abs(residual - full_residual) <= BLOCK_RESIDUAL_BOUND, (
+                    n, q.key()
+                )
+            reg = bethe_vector(regularized_singular_pair(p), p)
+            assert reg.k is None and len(reg.amplitudes) == ham.dimension
+
+    def test_block_is_the_total_momentum(self):
+        # Block k holds the pairs whose labels sum to -k (mod N); the edge
+        # string, the bound state of block 0, has labels summing to N/2.
+        p = ChainParams(16, 0.6)
+        pairs = enumerate_all(p)
+        for q, sol in zip(pairs, solve_quantum_pairs(pairs, p)):
+            if q.cls is SolutionClass.SINGULAR:
+                continue
+            edge = sol.branch_meta["method"] == "boundary_string"
+            shift = p.n // 2 if edge else 0
+            want = (-(q.j1.twice + q.j2.twice) // 2 + shift) % p.n
+            assert bethe_vector(sol, p).k == want, q.key()
+
+    @pytest.mark.parametrize("bad", ["total", "log_s"])
+    def test_non_finite_momenta_are_a_zero_vector(self, bad, monkeypatch):
+        # Refused before the block index is rounded from K.
+        momenta = {
+            "total": (complex(math.nan, 0.0), 0.3 + 0j, 0.1j),
+            "log_s": (0.3 + 0j, -0.3 + 0j, complex(math.inf, 0.0)),
+        }[bad]
+        monkeypatch.setattr(oracle, "_momenta", lambda pair, p: momenta)
+        with pytest.raises(ZeroVector, match="not finite"):
+            bethe_vector(RapidityPair(0.1, 0.2, None, 0), P86)
+
+
 class TestSingularState:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_closed_form_vector_is_exact(self, n):
@@ -390,6 +459,20 @@ class TestSingularState:
         energy, residual = rayleigh_energy(vec, ham)
         assert energy == pytest.approx(-p.delta, rel=1e-13)
         assert residual < 1e-13
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_block_vector_is_the_alternating_state(self, n):
+        # (-1)^x1 on (x, x + 1) and -1 on (0, N - 1), norm sqrt(N): the
+        # state of block N/2 at r = 1.
+        vec = singular_vector(build_hamiltonian(ChainParams(n, 0.7)))
+        assert vec.k == n // 2 and vec.norm == math.sqrt(n)
+        want = np.zeros(n * (n - 1) // 2)
+        x = np.arange(n - 1)
+        want[_index(n, x, x + 1)] = (-1.0) ** x
+        want[_index(n, 0, n - 1)] = -1.0
+        got = sector_amplitudes(vec, n)
+        phase = got[0] / abs(got[0])
+        assert np.max(np.abs(got / phase - want / math.sqrt(n))) <= 1e-15
 
     def test_regularized_pair_energy_converges(self):
         # The displaced pair's amplitudes span a dynamic range of
@@ -434,6 +517,29 @@ class TestRegularizedSingularPair:
         hz = 0.5j * zeta
         assert pair.lambda1 == hz + oracle.SINGULAR_EPS
         assert pair.lambda2 == -hz + oracle.SINGULAR_EPS
+
+
+# The verify envelope, even N 4-200 x zeta in [1e-3, 5], stratified: each
+# of the ten zeta of the solver envelopes at one N of 4-22 and one of
+# 30-102, and six of them at one N of 116-200.  About 8 s on a 2-core
+# machine; every even N 4-200 x the ten zeta is run outside tier-1.
+VERIFY_ZETAS = (1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 3.0, 4.5, 5.0)
+VERIFY_LARGE_N = {1e-3: 200, 0.05: 176, 0.6: 152, 2.0: 128, 4.5: 116, 5.0: 188}
+VERIFY_ENVELOPE = (
+    [(4 + 2 * i, zeta) for i, zeta in enumerate(VERIFY_ZETAS)]
+    + [(30 + 8 * i, zeta) for i, zeta in enumerate(VERIFY_ZETAS)]
+    + [(n, zeta) for zeta, n in VERIFY_LARGE_N.items()]
+)
+
+
+class TestVerifyEnvelope:
+    @pytest.mark.parametrize("n,zeta", VERIFY_ENVELOPE)
+    def test_every_state_matched(self, n, zeta):
+        match = completeness_check(ChainParams(n, zeta))
+        assert len(match.entries) == match.dimension == n * (n - 1) // 2
+        assert match.max_energy_error <= ENERGY_RTOL
+        assert match.max_residual <= RESIDUAL_TOL
+        assert match.unsolved == match.unavailable == ()
 
 
 class TestCompleteness:
@@ -494,3 +600,16 @@ class TestCompleteness:
         (note,) = match.unavailable
         assert note.startswith("regularized singular cross-check unavailable")
         assert len(match.entries) == 28
+
+    def test_debug_line_counts_block_and_full_space_vectors(self, caplog):
+        # 27 solved pairs and the singular vector in their blocks; the
+        # regularized singular cross-check over the full sector.
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.oracle"):
+            completeness_check(P86)
+        lines = [
+            r.getMessage() for r in caplog.records
+            if r.name == "bethe_xxz.oracle"
+        ]
+        assert lines == [
+            "verify N=8 zeta=0.6: 28 block vectors, 1 full-space vectors"
+        ]
