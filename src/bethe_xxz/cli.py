@@ -125,12 +125,6 @@ def _params_dict(p: ChainParams):
     return {"n": p.n, "zeta": p.zeta}
 
 
-def _chain_params(args):
-    if args.n is None or args.zeta is None:
-        raise SystemExit(EXIT_USAGE)
-    return ChainParams(args.n, args.zeta)
-
-
 PAIR_COLUMNS = ["n", "zeta", "j1", "j2", "class"]
 SOLUTION_COLUMNS = [
     "n",
@@ -205,7 +199,7 @@ def _emit_solutions(p, pairs, outcomes, args):
 
 
 def cmd_enumerate(args):
-    p = _chain_params(args)
+    p = ChainParams(args.n, args.zeta)
     pairs = enumerate_all(p)
     payload = {
         "params": _params_dict(p),
@@ -217,10 +211,7 @@ def cmd_enumerate(args):
 
 
 def cmd_solve(args):
-    p = _chain_params(args)
-    if args.j1 is None or args.j2 is None:
-        print("error: solve requires --j1 and --j2", file=sys.stderr)
-        return EXIT_USAGE
+    p = ChainParams(args.n, args.zeta)
     matched = pairs_with_labels(p, args.j1, args.j2)
     if not matched:
         print(
@@ -235,7 +226,7 @@ def cmd_solve(args):
 
 
 def cmd_solve_all(args):
-    p = _chain_params(args)
+    p = ChainParams(args.n, args.zeta)
     pairs = enumerate_all(p)
     outcomes = solve_quantum_pairs(pairs, p, **_solve_kwargs(args.tol_defect))
     failed = _emit_solutions(p, pairs, outcomes, args)
@@ -246,7 +237,7 @@ def cmd_solve_all(args):
 
 
 def cmd_verify(args):
-    p = _chain_params(args)
+    p = ChainParams(args.n, args.zeta)
     try:
         match = completeness_check(p)
     except IncompleteSpectrum as exc:
@@ -335,9 +326,6 @@ def cmd_regime_map(args):
 
 
 def cmd_xxx_trace(args):
-    if args.n is None or args.j1 is None or args.j2 is None:
-        print("error: xxx-trace requires --n, --j1, --j2", file=sys.stderr)
-        return EXIT_USAGE
     schedule = [float(part) for part in args.zeta_schedule.split(",")]
     q = QuantumPair(args.j1, args.j2, SolutionClass.INFINITE_FAMILY_REAL)
     trace = trace_divergence(q, ChainParams(args.n, schedule[0]), schedule)
@@ -377,9 +365,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, zeta=True):
-        sp.add_argument("--n", type=int, default=None)
+        sp.add_argument("--n", type=int, required=True)
         if zeta:
-            sp.add_argument("--zeta", type=float, default=None)
+            sp.add_argument("--zeta", type=float, required=True)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None)
 
@@ -388,8 +376,8 @@ def _build_parser():
     sp.set_defaults(func=cmd_enumerate)
 
     def labels(sp):
-        sp.add_argument("--j1", type=HalfInt.parse, default=None)
-        sp.add_argument("--j2", type=HalfInt.parse, default=None)
+        sp.add_argument("--j1", type=HalfInt.parse, required=True)
+        sp.add_argument("--j2", type=HalfInt.parse, required=True)
         # argparse reads `-7/2` as an option unless its negative-number
         # pattern matches; widened to fractions, `--j1 -7/2` parses too.
         sp._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
@@ -439,8 +427,6 @@ def main(argv=None):
     # matters, since BoundaryDegenerate is a BetheError.
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except BoundaryDegenerate as exc:
         print(f"degenerate boundary: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

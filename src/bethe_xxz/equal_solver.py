@@ -152,7 +152,7 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     l1, l2 = _real_rapidity(a + root, p.t), _real_rapidity(a - root, p.t)
     x, phi = 0.5 * (l1 + l2), 0.5 * (l2 - l1)
     if positive is not q:
-        l1, l2, x, k = -l2, -l1, -x, p.n - k
+        l1, l2, x, k, a = -l2, -l1, -x, p.n - k, -a
     log.debug("equal, J=%r: block k=%d, q=%r after %d steps",
               float(q.j1), k, root, steps)
     residual = bae_defect(l1, l2, p)
@@ -174,4 +174,5 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
             "phi": phi,
             "gamma": 2.0 * phi / p.zeta,
         },
+        momenta=(a - root, a + root),
     )

@@ -132,10 +132,10 @@ def discontinuity_k(j1: HalfInt, p: ChainParams):
     def mu_of(theta):
         return math.atan(t * math.tan((base + theta) / p.n))
 
-    def g(theta, mu):
+    def g(theta):
         # tan(base + theta) == tan(theta) since base is an integer multiple
         # of pi for half-odd j1.
-        return math.tan(mu) * th / math.tan(theta) - 1.0
+        return math.tan(mu_of(theta)) * th / math.tan(theta) - 1.0
 
     if float(j1) == 0.5:
         # In the lowest window tan(mu1) vanishes together with tan(theta),
@@ -145,21 +145,13 @@ def discontinuity_k(j1: HalfInt, p: ChainParams):
             f"the contour of j1={j1} has no left discontinuity (starts at 0)"
         )
     lo, hi = 1e-12, math.pi / 2.0 - 1e-12
-    mu_lo, mu_hi = mu_of(lo), mu_of(hi)
-    if not (g(lo, mu_lo) > 0.0 > g(hi, mu_hi)):
+    f_lo, f_hi = g(lo), g(hi)
+    if not f_lo > 0.0 > f_hi:
         raise NoRootInInterval(
             f"no discontinuity bracket for j1={j1} at N={p.n}, zeta={p.zeta}"
         )
-    steps = 0
-    while mu_hi - mu_lo > 1e-14 and hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        mu_mid = mu_of(mid)
-        steps += 1
-        if g(mid, mu_mid) > 0.0:
-            lo, mu_lo = mid, mu_mid
-        else:
-            hi, mu_hi = mid, mu_mid
-    k = 0.5 * (mu_lo + mu_hi)
+    theta, steps = bisect_monotone(g, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=0.0)
+    k = mu_of(theta)
     log.debug(
         "contour edge j1=%s N=%d zeta=%r: k=%r after %d bisection steps",
         j1, p.n, p.zeta, k, steps,
@@ -250,8 +242,9 @@ def _reduced(lam):
 def _lane(k, m, labels, p: ChainParams):
     """(pair, polished) for the lane (k, m) of the sorted labels (j_lo, j_hi).
 
-    pair holds the rapidities in label order, its residual not yet gated;
-    polished tells whether the Newton-polished pair was kept.
+    pair holds the rapidities in label order, each with its momentum
+    pi k / N -+ q, its residual not yet gated; polished tells whether the
+    Newton-polished pair was kept.
     """
     n = p.n
     if not 0 < m < n - 2:
@@ -279,11 +272,13 @@ def _lane(k, m, labels, p: ChainParams):
     q, steps = bisect_monotone(
         f, level / n, min(math.pi, (m + 2) * math.pi / n), xtol=0.0
     )
-    # The larger rapidity belongs to the larger label.
-    lams = _reduced(_real_rapidity(a - q, p.t)), _reduced(
-        _real_rapidity(a + q, p.t)
-    )
-    l1, l2 = min(lams), max(lams)
+    # The larger rapidity belongs to the larger label; each keeps its
+    # momentum.
+    p1, p2 = a - q, a + q
+    l1 = _reduced(_real_rapidity(p1, p.t))
+    l2 = _reduced(_real_rapidity(p2, p.t))
+    if l1 > l2:
+        l1, l2, p1, p2 = l2, l1, p2, p1
     residual = bae_defect(l1, l2, p)
     polished = _polish_log_form(l1, l2, *labels, p)
     polished_residual = bae_defect(*polished, p)
@@ -291,7 +286,9 @@ def _lane(k, m, labels, p: ChainParams):
     if kept:
         (l1, l2), residual = polished, polished_residual
     meta = {"method": "momentum_block", "branch": "scattering", "k": k, "q": q}
-    return RapidityPair(complex(l1), complex(l2), residual, steps, meta), kept
+    return RapidityPair(
+        complex(l1), complex(l2), residual, steps, meta, (p1, p2)
+    ), kept
 
 
 def _oriented(q: QuantumPair, n):
@@ -319,11 +316,13 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
             f"defect {pair.residual!r} above {defect_tol!r} for "
             f"({q.j1}, {q.j2})"
         )
-    l1, l2 = pair.lambda1, pair.lambda2
+    l1, l2, momenta = pair.lambda1, pair.lambda2, pair.momenta
     if q.j1.twice > q.j2.twice:
         l1, l2 = l2, l1
+        if momenta is not None:
+            momenta = momenta[::-1]
     out = RapidityPair(
-        l1, l2, pair.residual, pair.iterations, dict(pair.branch_meta)
+        l1, l2, pair.residual, pair.iterations, dict(pair.branch_meta), momenta
     )
     return out.negated() if mirrored else out
 

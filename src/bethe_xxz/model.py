@@ -144,7 +144,8 @@ class HalfInt:
         return self.twice < tw
 
     def __hash__(self):
-        return hash((HalfInt, self.twice))
+        # Equal to the hash of the int or float it compares equal to.
+        return hash(self.twice / 2)
 
     def __str__(self):
         if self.twice % 2 == 0:
@@ -235,18 +236,27 @@ class QuantumPair:
 
 @dataclass(frozen=True)
 class RapidityPair:
-    """A solved pair of rapidities with its residual and solver metadata."""
+    """A solved pair of rapidities with its residual and solver metadata.
+
+    `momenta` is (p1, p2) for a pair solved in its momentum block: the
+    momenta its solver found, which the oracle builds the Bethe vector
+    from.  Real momenta stay floats.  `branch_meta` is only emitted.
+    """
 
     lambda1: complex
     lambda2: complex
     residual: float | None
     iterations: int
     branch_meta: dict = field(default_factory=dict, compare=False)
+    momenta: tuple | None = field(default=None, compare=False)
 
     def negated(self):
+        momenta = self.momenta
+        if momenta is not None:
+            momenta = (-momenta[0], -momenta[1])
         return RapidityPair(
             -self.lambda1, -self.lambda2, self.residual, self.iterations,
-            dict(self.branch_meta, mirrored=True),
+            dict(self.branch_meta, mirrored=True), momenta,
         )
 
 

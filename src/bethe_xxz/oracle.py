@@ -35,7 +35,7 @@ from .model import (
     ZeroVector,
 )
 from .quantum_numbers import enumerate_all
-from .string_solver import _block_momentum, bound_state_momenta
+from .string_solver import _block_momentum
 
 NORM_TOL = 1e-10
 ENERGY_RTOL = 1e-6
@@ -242,15 +242,14 @@ def _momenta(pair: RapidityPair, p: ChainParams):
 
     With amplitudes e^{i(p1 x1 + p2 x2)} + S e^{i(p2 x1 + p1 x2)} on
     x1 < x2, periodicity fixes S = e^{i N p2}.  A pair solved in its
-    momentum block takes its momenta from the block root (for a bound
+    momentum block carries the momenta of its block root (for a bound
     state, S from lambda is a ratio of two nearly vanishing terms).  Other
     pairs take their momenta from lambda, with S from the two-body
     scattering amplitude, which carries the momentum of the particle
     crossing from the right (p2) in the numerator.
     """
-    momenta = bound_state_momenta(pair, p)
-    if momenta is not None:
-        p1, p2 = momenta
+    if pair.momenta is not None:
+        p1, p2 = map(complex, pair.momenta)
         return p1, p2, 1j * p.n * p2
     p1 = _momentum(pair.lambda1, p)
     p2 = _momentum(pair.lambda2, p)

@@ -163,36 +163,6 @@ def block_index(q: QuantumPair, n):
     return -((q.j1.twice + q.j2.twice) // 2) % n
 
 
-def bound_state_momenta(pair: RapidityPair, p: ChainParams):
-    """Momenta (p1, p2) of a pair solved in its momentum block, else None.
-
-    A bound state has (a - i v, a + i v), rebuilt from the k and v in
-    branch_meta, and a mirrored one the negated momenta of its partner.  An
-    equal-label real pair (equal_solver) has (a - q, a + q).  A scattering
-    pair (height_solver) has K/2 -+ q, K = 2 pi k / N, unfolded, in the
-    order of its rapidities: lambda falls from pi/2 to -pi/2 as the
-    momentum rises through (0, 2 pi), so K/2 - q carries the larger lambda
-    exactly when q <= K/2.
-    """
-    meta = pair.branch_meta
-    branch = meta.get("branch")
-    if branch == "scattering":
-        a, q = math.pi * meta["k"] / p.n, meta["q"]
-        sign = -1.0 if meta.get("mirrored") else 1.0
-        first_larger = sign * pair.lambda1.real > sign * pair.lambda2.real
-        p1, p2 = (a - q, a + q) if (q <= a) == first_larger else (a + q, a - q)
-        return complex(sign * p1), complex(sign * p2)
-    if branch == "real":
-        a = _block_momentum(meta["k"], p.n)
-        return complex(a - meta["q"]), complex(a + meta["q"])
-    if "v" not in meta:
-        return None
-    p2 = complex(_block_momentum(meta["k"], p.n), meta["v"])
-    if meta.get("mirrored"):
-        return -p2.conjugate(), -p2
-    return p2.conjugate(), p2
-
-
 def _log_excess(v, n, s):
     """log|eps| for the excess eps that the bound-state equation gives at v > 0.
 
@@ -232,7 +202,7 @@ def _rapidity(a, v, h, zeta):
 
 
 def _bound_state(k, p: ChainParams, branch, method, defect_tol):
-    """The bound state of block k as a conjugate rapidity pair.
+    """The bound state of block k as a conjugate pair, momenta a -+ i v.
 
     Bisects u = log|eps| on u - log|eps(v_inf + s e^u)|, whose sign rises
     through the one root (v - eps(v) increases with v): for even k below
@@ -287,7 +257,9 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
         raise ToleranceNotReached(
             f"defect {residual!r} above {defect_tol!r} in block k={k}"
         )
-    lam2 = _rapidity(_block_momentum(k, n), v, gap + log_c - eps, p.zeta)
+    a = _block_momentum(k, n)
+    lam2 = _rapidity(a, v, gap + log_c - eps, p.zeta)
+    p2 = complex(a, v)
     return RapidityPair(
         lambda1=lam2.conjugate(),
         lambda2=lam2,
@@ -300,6 +272,7 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
             "v": v,
             "log_eps": log_eps,
         },
+        momenta=(p2.conjugate(), p2),
     )
 
 

@@ -106,8 +106,9 @@ class TestSolve:
         assert "not an enumerated pair" in err
 
     def test_missing_labels_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "solve", "--n", "8", "--zeta", "0.6")
+        code, _, err = run(capsys, "solve", "--n", "8", "--zeta", "0.6")
         assert code == 2
+        assert "the following arguments are required: --j1, --j2" in err
 
     def test_negative_labels_after_a_space(self, capsys):
         code, out, _ = run(
@@ -570,8 +571,35 @@ class TestUsage:
         assert "even" in err
 
     def test_missing_required_parameters(self, capsys):
-        code, _, _ = run(capsys, "enumerate", "--zeta", "0.5")
+        code, _, err = run(capsys, "enumerate", "--zeta", "0.5")
         assert code == 2
+        assert "the following arguments are required: --n" in err
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [
+            (["enumerate", "--n", "8"], "--zeta"),
+            (["solve", "--zeta", "0.6", "--j1", "1/2", "--j2", "3/2"], "--n"),
+            (["solve", "--n", "8", "--zeta", "0.6", "--j1", "1/2"], "--j2"),
+            (["solve", "--n", "8", "--zeta", "0.6", "--j2", "3/2"], "--j1"),
+            (["solve-all"], "--n, --zeta"),
+            (["solve-all", "--n", "8"], "--zeta"),
+            (["verify", "--n", "8"], "--zeta"),
+            (["verify", "--zeta", "0.6"], "--n"),
+            (["xxx-trace", "--j1", "7/2", "--j2", "1/2",
+              "--zeta-schedule", "0.3"], "--n"),
+            (["xxx-trace", "--n", "8", "--zeta-schedule", "0.3"],
+             "--j1, --j2"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else " ".join(value),
+    )
+    def test_missing_option_names_it(self, capsys, argv, missing):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f"error: the following arguments are required: {missing}"
+        )
+        assert "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

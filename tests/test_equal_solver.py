@@ -121,6 +121,11 @@ class TestSymmetry:
         want = sorted((-s.lambda1.real, -s.lambda2.real))
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
+        # The mirror's rapidities are the negated ones, swapped, and each
+        # keeps its momentum: exactly negated, as floats.
+        assert (m.lambda1, m.lambda2) == (-s.lambda2, -s.lambda1)
+        assert m.momenta == (-s.momenta[1], -s.momenta[0])
+        assert all(isinstance(momentum, float) for momentum in m.momenta)
 
 
 class TestCountingFunction:

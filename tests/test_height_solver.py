@@ -54,7 +54,7 @@ from bethe_xxz.quantum_numbers import (
     has_extra_two_string,
     threshold_f,
 )
-from bethe_xxz.string_solver import block_index, bound_state_momenta
+from bethe_xxz.string_solver import block_index
 from reference import diff_p, height_guard, sector_height
 
 P86 = ChainParams(8, 0.6)
@@ -92,11 +92,23 @@ class TestFrozenSolutions:
         assert s.lambda1.real == 0.0
         assert s.lambda2.real == math.nextafter(math.pi / 2.0, 0.0)
         assert s.branch_meta["method"] == "boundary_limit"
+        # Its vector takes the lambda path: it carries no block momenta.
+        assert s.momenta is None
 
     def test_label_order_controls_output_order(self):
         a = _solve(1, 3, P86)
         b = _solve(3, 1, P86)
         assert a.lambda1 == b.lambda2 and a.lambda2 == b.lambda1
+        # The momenta follow their rapidities: pi k / N -+ q of block k = 6.
+        assert a.momenta == b.momenta[::-1]
+        assert all(isinstance(momentum, float) for momentum in a.momenta)
+        half_k = 0.5 * sum(a.momenta)
+        assert half_k == pytest.approx(math.pi * 6 / 8, abs=1e-15)
+        for momentum, lam in zip(a.momenta, (a.lambda1, a.lambda2)):
+            off = cmath.exp(1j * momentum) - cmath.exp(
+                1j * _momentum(lam, P86)
+            )
+            assert abs(off) <= 1e-12
 
 
 class TestDefects:
@@ -118,6 +130,13 @@ class TestSymmetry:
             m = solve_pair(q.negated(), p)
             assert abs(m.lambda1 + s.lambda1) < 1e-12, (q.j1, q.j2)
             assert abs(m.lambda2 + s.lambda2) < 1e-12, (q.j1, q.j2)
+            # Mirrored labels carry exactly the negated momenta; only the
+            # boundary pair carries none.
+            if s.momenta is None:
+                assert m.momenta is None
+                assert s.branch_meta["method"] == "boundary_limit"
+            else:
+                assert m.momenta == (-s.momenta[0], -s.momenta[1])
 
 
 class TestContours:
@@ -861,8 +880,8 @@ class TestEnvelope:
     def test_every_scattering_pair_solves(self, zeta):
         # Measured first, over these points: defect <= 1.92e-13; for N <= 64
         # magnon_energy of the stored rapidities is an eigenvalue of block k
-        # to 1.0e-15 relative; the momenta of bound_state_momenta equal
-        # those of the rapidities to 1.8e-15 mod 2 pi.
+        # to 1.0e-15 relative; the pair's momenta equal those of its
+        # rapidities to 1.8e-15 mod 2 pi.
         for n in list(range(4, 66, 2)) + [100, 128, 200]:
             p = ChainParams(n, zeta)
             pairs = _batched(p)
@@ -885,10 +904,7 @@ class TestEnvelope:
                     energy = magnon_energy(s.lambda1, s.lambda2, p)
                     gap = np.min(np.abs(blocks[meta["k"]] - energy))
                     assert gap <= 1e-12 * max(1.0, abs(energy)), (n, q.j1, q.j2)
-                pairs_momenta = zip(
-                    bound_state_momenta(s, p), (s.lambda1, s.lambda2)
-                )
-                for momentum, lam in pairs_momenta:
+                for momentum, lam in zip(s.momenta, (s.lambda1, s.lambda2)):
                     off = cmath.exp(1j * momentum) - cmath.exp(
                         1j * _momentum(lam, p)
                     )

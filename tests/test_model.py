@@ -60,6 +60,18 @@ class TestHalfInt:
     def test_hashable_and_exact(self):
         assert len({HalfInt(1), HalfInt(1), HalfInt(2)}) == 2
 
+    @pytest.mark.parametrize("twice", range(-9, 10))
+    def test_hash_agrees_with_equality(self, twice):
+        # Equal objects hash equal: a HalfInt finds the int or float it
+        # equals in a dict or set, and the other way round.
+        h = HalfInt(twice)
+        value = twice // 2 if twice % 2 == 0 else twice / 2.0
+        assert h == value == float(h)
+        assert hash(h) == hash(value) == hash(float(h))
+        assert {h: "x"}[value] == "x" and {value: "x"}[h] == "x"
+        assert {float(h): "x"}[h] == "x"
+        assert len({h, value, float(h)}) == 1
+
     @given(st.integers(min_value=-1000, max_value=1000))
     def test_str_round_trip(self, twice):
         h = HalfInt(twice)
@@ -198,6 +210,19 @@ class TestValueTypes:
         assert m.lambda1 == -r.lambda1 and m.lambda2 == -r.lambda2
         assert m.branch_meta["mirrored"] is True
         assert r.branch_meta == {"method": "x"}
+        assert r.momenta is None and m.momenta is None
+
+    def test_rapidity_pair_negation_negates_momenta(self):
+        r = RapidityPair(0.1, 0.2, 1e-15, 3, {}, (0.0, 1.5))
+        m = r.negated()
+        assert m.momenta == (-0.0, -1.5)
+        assert math.copysign(1.0, m.momenta[0]) == -1.0  # a float -0.0
+        bound = RapidityPair(
+            0.1 - 0.2j, 0.1 + 0.2j, 1e-15, 3, {}, (1 - 2j, 1 + 2j)
+        )
+        assert bound.negated().momenta == (-1 + 2j, -1 - 2j)
+        # Momenta are output of the solve, not part of the pair's value.
+        assert RapidityPair(0.1, 0.2, 1e-15, 3) == r
 
     def test_class_partition(self):
         real = {c for c in SolutionClass if c.is_real}

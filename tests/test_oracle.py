@@ -1,5 +1,6 @@
 """Exact-diagonalization oracle: Hamiltonian, wavefunctions, completeness."""
 import cmath
+import dataclasses
 import logging
 import math
 
@@ -324,6 +325,26 @@ class TestBetheVector:
         a = bethe_vector(sol, P86).amplitudes
         b = bethe_vector(swapped, P86).amplitudes
         assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n,zeta", [(22, 1e-3), (48, 2.0)])
+    def test_branch_meta_is_output_only(self, n, zeta):
+        # A solved pair's vector comes from the momenta it carries: with its
+        # branch_meta cleared, k, norm and amplitudes stay bitwise equal.
+        p = ChainParams(n, zeta)
+        pairs = enumerate_all(p)
+        count = 0
+        for q, sol in zip(pairs, solve_quantum_pairs(pairs, p)):
+            if q.cls is SolutionClass.SINGULAR:
+                continue
+            assert sol.momenta is not None or (
+                sol.branch_meta["method"] == "boundary_limit"
+            ), (q.j1, q.j2)
+            want = bethe_vector(sol, p)
+            got = bethe_vector(dataclasses.replace(sol, branch_meta={}), p)
+            assert (got.k, got.norm) == (want.k, want.norm), (q.j1, q.j2)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            count += 1
+        assert count == n * (n - 1) // 2 - 1
 
 
 class TestBlochForm:

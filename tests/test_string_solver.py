@@ -30,7 +30,6 @@ from bethe_xxz.quantum_numbers import (
 from bethe_xxz.string_solver import (
     Branch,
     _BRANCH_BY_CLASS,
-    bound_state_momenta,
     delta_of_w,
     singular_solution,
     solve_boundary_string,
@@ -97,6 +96,8 @@ class TestStructure:
         assert abs(m.lambda1 + s.lambda1) < 1e-12
         assert abs(m.lambda2 + s.lambda2) < 1e-12
         assert m.branch_meta.get("mirrored") is True
+        assert m.momenta == (-s.momenta[0], -s.momenta[1])
+        assert s.momenta[0] == s.momenta[1].conjugate()
 
     def test_rejects_real_class(self):
         with pytest.raises(ValueError):
@@ -288,7 +289,7 @@ class TestBoundState:
             if q.j1 < 0 and q.cls.is_complex:
                 continue
             sol = solve_quantum_pair(q, p)
-            _, p2 = bound_state_momenta(sol, p)
+            _, p2 = sol.momenta
             direct = cmath.atan(p.t / cmath.tan(0.5 * p2))
             gap = sol.lambda2 - direct
             gap -= math.pi * round(gap.real / math.pi)
