@@ -321,10 +321,14 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
         l1, l2 = l2, l1
         if momenta is not None:
             momenta = momenta[::-1]
-    out = RapidityPair(
-        l1, l2, pair.residual, pair.iterations, dict(pair.branch_meta), momenta
-    )
-    return out.negated() if mirrored else out
+    meta = dict(pair.branch_meta)
+    if mirrored:
+        # What RapidityPair.negated gives, built once.
+        l1, l2 = -l1, -l2
+        if momenta is not None:
+            momenta = (-momenta[0], -momenta[1])
+        meta["mirrored"] = True
+    return RapidityPair(l1, l2, pair.residual, pair.iterations, meta, momenta)
 
 
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):

@@ -4,7 +4,8 @@ The two-string threshold F(N, zeta) decides which equal-quantum-number pairs
 are real (collapsed) and which are complex, and whether the edge pair
 (+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  The enumeration emits
 exactly C(N, 2) labelled pairs for any non-degenerate parameter point; the
-lookup of the pairs that carry one label set uses the same rules in O(N).
+lookup of the pairs that carry one label set applies the same rules in O(1),
+so its cost does not grow with N.
 """
 from __future__ import annotations
 
@@ -220,25 +221,53 @@ def enumerate_all(p: ChainParams):
 
 
 def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
-    """The enumerated pairs whose label set is {j1, j2}, in O(N).
+    """The enumerated pairs whose label set is {j1, j2}, in O(1).
 
-    Equal to filtering enumerate_all(p) on the label set, in the same order,
-    without building the O(N^2) standard real pairs: at most one of them
-    carries a given label set.
+    Equal to filtering enumerate_all(p) on the label set, in the same order.
+    The set is classified straight from the regime report by the rules that
+    _special_pairs generates, so the only pairs built are the ones returned,
+    at most two.  All comparisons are on doubled labels, with e = N - 1.
     """
     report = classify_regime(p)
-    want = {j1.twice, j2.twice}
-    pairs = [
-        q
-        for q in _special_pairs(p, report)
-        if {q.j1.twice, q.j2.twice} == want
-    ]
-    # Standard real: two distinct half-odd labels inside +-(N-1)/2.
-    if len(want) == 2 and all(tw % 2 and abs(tw) < p.n - 1 for tw in want):
-        lo, hi = sorted(want)
-        pairs.append(
-            QuantumPair(HalfInt(lo), HalfInt(hi), SolutionClass.STANDARD_REAL)
-        )
+    n = p.n
+    e = n - 1
+    lo, hi = sorted((j1.twice, j2.twice))
+    if lo % 2 == 0 or hi % 2 == 0:
+        return []
+    found = []
+    if lo == hi:
+        t = abs(lo)
+        if t == e:
+            edge_cls = (
+                SolutionClass.EXTRA_TWO_STRING
+                if report.extra_two_string
+                else SolutionClass.INFINITE_FAMILY_REAL
+            )
+            found.append((lo, lo, edge_cls))
+        elif n < 2 * t < 2 * n:
+            cls = (
+                SolutionClass.NARROW_PAIR_COMPLEX
+                if t / 2.0 < report.threshold
+                else SolutionClass.EQUAL_QN_REAL
+            )
+            found.append((lo, lo, cls))
+        if n % 4 and lo == n // 2:
+            found.append((lo, lo, SolutionClass.SINGULAR))
+    else:
+        if -e < lo and hi < e:
+            found.append((lo, hi, SolutionClass.STANDARD_REAL))
+        if hi == e and 0 < lo:
+            found.append((lo, hi, SolutionClass.INFINITE_FAMILY_REAL))
+        if lo == -e and hi < 0:
+            # The mirror (-k, -(N-1)/2) keeps its labels in that order.
+            found.append((hi, lo, SolutionClass.INFINITE_FAMILY_REAL))
+        if hi == lo + 2 and (
+            n - 2 < 2 * lo < 2 * e or n - 2 < -2 * hi < 2 * e
+        ):
+            found.append((lo, hi, SolutionClass.WIDE_PAIR_COMPLEX))
+        if n % 4 == 0 and (lo, hi) == (n // 2 - 1, n // 2 + 1):
+            found.append((lo, hi, SolutionClass.SINGULAR))
+    pairs = [QuantumPair(HalfInt(a), HalfInt(b), cls) for a, b, cls in found]
     pairs.sort(key=QuantumPair.key)
     return pairs
 

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 import bethe_xxz
-from bethe_xxz import cli
+from bethe_xxz import cli, quantum_numbers
 from bethe_xxz.cli import main
-from bethe_xxz.model import HalfInt
-from bethe_xxz.quantum_numbers import threshold_value
+from bethe_xxz.model import ChainParams, HalfInt, SolutionClass
+from bethe_xxz.quantum_numbers import enumerate_all, threshold_value
 
 
 def run(capsys, *argv):
@@ -220,6 +220,36 @@ class TestSolve:
         forward = run(capsys, *argv, f"--j1={a}", f"--j2={b}")
         assert forward[0] == 0 and forward[1]
         assert run(capsys, *argv, f"--j1={b}", f"--j2={a}") == forward
+
+
+    def test_builds_no_enumeration(self, capsys, monkeypatch):
+        # solve classifies its label set from the regime report alone: with
+        # the O(N) special-pair list and the enumeration made to raise, one
+        # pair of each class prints what it printed before.
+        picked = {}
+        for n, zeta in ((64, 0.3), (22, 1e-3), (8, 0.6), (12, 0.57)):
+            for q in enumerate_all(ChainParams(n, zeta)):
+                picked.setdefault(q.cls, (n, zeta, q))
+        assert set(picked) == set(SolutionClass)
+        argvs = [
+            ("solve", "--n", str(n), "--zeta", repr(zeta),
+             f"--j1={q.j1}", f"--j2={q.j2}")
+            for n, zeta, q in picked.values()
+        ]
+        before = [run(capsys, *argv) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("solve built the enumeration")
+
+        for module, name in (
+            (quantum_numbers, "_special_pairs"),
+            (quantum_numbers, "enumerate_all"),
+            (cli, "enumerate_all"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for argv, expected in zip(argvs, before):
+            assert expected[0] in (0, 4) and expected[1]
+            assert run(capsys, *argv) == expected, argv
 
 
 class TestParserReuse:

@@ -187,11 +187,23 @@ def _assert_lookup_matches(p, label_sets, pairs):
             )
 
 
+# Even N <= 64 with each regime label at both N mod 4.
+STRATIFIED = [
+    (30, 2.0), (64, 0.3),  # extra
+    (42, 0.3), (36, 0.3),  # none
+    (22, 1e-3), (48, 0.05),  # m1
+    (62, 1e-3), (64, 1e-3),  # m2
+]
+
+
 class TestPairsWithLabels:
     """pairs_with_labels(p, j1, j2) is the enumerate_all filter on {j1, j2}."""
 
-    @pytest.mark.parametrize("zeta", [1e-3, 0.05, 0.57, 2.0, 5.0])
-    @pytest.mark.parametrize("n", range(4, 21, 2))
+    @pytest.mark.parametrize(
+        "n,zeta",
+        [(n, zeta) for n in range(4, 21, 2)
+         for zeta in (1e-3, 0.05, 0.57, 2.0, 5.0)] + STRATIFIED,
+    )
     def test_every_label_set(self, n, zeta):
         # Half-odd, integer, equal and out-of-range labels alike.
         p = ChainParams(n, zeta)
@@ -202,7 +214,25 @@ class TestPairsWithLabels:
             enumerate_all(p),
         )
 
-    @pytest.mark.parametrize("n,zeta", [(64, 0.3), (128, 2.0)])
+    def test_stratified_points_cover_every_regime(self):
+        # Every regime label reachable at even N <= 64 over the envelope,
+        # each at both N mod 4 (the singular pair's two shapes).
+        reachable = {
+            regime_label_from_report(classify_regime(ChainParams(n, zeta)))
+            for n in range(4, 65, 2)
+            for zeta in (1e-3, 0.01, 0.05, 0.3, 1.0, 5.0)
+        }
+        covered = {
+            (regime_label_from_report(classify_regime(ChainParams(n, z))),
+             n % 4)
+            for n, z in STRATIFIED
+        }
+        assert reachable == {"extra", "none", "m1", "m2"}
+        assert covered == {(label, r) for label in reachable for r in (0, 2)}
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(64, 0.3), (128, 2.0), (200, 1e-3), (400, 0.05)]
+    )
     def test_seeded_label_sets(self, n, zeta):
         p = ChainParams(n, zeta)
         pairs = enumerate_all(p)
