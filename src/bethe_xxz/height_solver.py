@@ -70,8 +70,8 @@ def lambda_star(j1: HalfInt, p: ChainParams):
     return math.atan(p.t * math.tan(math.pi * half_turns))
 
 
-def _contour_maps(j1: HalfInt, p: ChainParams, target=0.0):
-    """mu2(mu1) and height(mu1) - target on the contour of j1.
+def _contour_maps(j1: HalfInt, p: ChainParams):
+    """mu2(mu1) and height(mu1) on the contour of j1.
 
     The constants are bound once, so a bisection pays for one tan(mu1) and
     no attribute lookups per step.  The closed form for mu2 is label-free;
@@ -105,17 +105,16 @@ def _contour_maps(j1: HalfInt, p: ChainParams, target=0.0):
             )
         return atan(-(1.0 + a * inv) / den)
 
-    def shifted_height(mu1):
+    def height_of(mu1):
         mu2 = mu2_of(mu1)
         diff = mu2 - mu1
         return (
             n_over_pi * atan(tan(mu2) / t)
             - inv_pi * atan(tan(diff) / th)
             - floor((2.0 * diff + pi) / two_pi)
-            - target
         )
 
-    return mu2_of, shifted_height
+    return mu2_of, height_of
 
 
 def discontinuity_k(j1: HalfInt, p: ChainParams):
@@ -255,11 +254,13 @@ def _lane(k, m, labels, p: ChainParams):
     if (labels[0].twice, labels[1].twice) == (1, n - 1):
         # The boundary member of the family with the edge label: its exact
         # solution (0, pi/2) solves the product form identically for even
-        # N.  Report the largest rapidity strictly below pi/2.
+        # N.  Report the largest rapidity strictly below pi/2, and the
+        # exact momenta (pi, 0) of (0, pi/2).
         edge = math.nextafter(math.pi / 2.0, 0.0)
         meta = {"method": "boundary_limit", "contour_j": str(labels[1])}
         return RapidityPair(
-            0j, complex(edge), bae_defect(edge, 0.0, p), 0, meta
+            0j, complex(edge), bae_defect(edge, 0.0, p), 0, meta,
+            (math.pi, 0.0),
         ), False
     a = math.pi * k / n
     ratio = math.cos(a) / p.delta

@@ -238,9 +238,11 @@ class QuantumPair:
 class RapidityPair:
     """A solved pair of rapidities with its residual and solver metadata.
 
-    `momenta` is (p1, p2) for a pair solved in its momentum block: the
-    momenta its solver found, which the oracle builds the Bethe vector
-    from.  Real momenta stay floats.  `branch_meta` is only emitted.
+    `momenta` is (p1, p2) for every solved pair but the exact singular one:
+    the momenta its solver found, which the oracle builds the Bethe vector
+    from.  Real momenta stay floats.  Without them (the regularized
+    singular pair, a pair built by hand) the oracle derives the momenta
+    from lambda.  `branch_meta` is only emitted.
     """
 
     lambda1: complex

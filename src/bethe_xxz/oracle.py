@@ -20,7 +20,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -155,7 +155,6 @@ def _index(n, x1, x2):
     return x1 * (2 * n - x1 - 1) // 2 + x2 - x1 - 1
 
 
-@lru_cache(maxsize=8)
 def _bloch_coordinates(n):
     """Exponent grids and per-state gather indices of the two Bloch forms.
 
@@ -165,16 +164,13 @@ def _bloch_coordinates(n):
     """
     x1, x2 = np.triu_indices(n, 1)
     steps = np.arange(1, n)
-    arrays = (
+    return (
         np.stack([steps - 1, steps, steps]),
         np.stack([steps, steps, steps]),
         x1,
         x2 - 1,
         x2 - x1 - 1,
     )
-    for array in arrays:  # shared by every caller through the cache
-        array.flags.writeable = False
-    return arrays
 
 
 def build_hamiltonian(p: ChainParams):
@@ -241,12 +237,12 @@ def _momenta(pair: RapidityPair, p: ChainParams):
     """Momenta p1, p2 of a pair and the log of its scattering factor S.
 
     With amplitudes e^{i(p1 x1 + p2 x2)} + S e^{i(p2 x1 + p1 x2)} on
-    x1 < x2, periodicity fixes S = e^{i N p2}.  A pair solved in its
-    momentum block carries the momenta of its block root (for a bound
-    state, S from lambda is a ratio of two nearly vanishing terms).  Other
-    pairs take their momenta from lambda, with S from the two-body
-    scattering amplitude, which carries the momentum of the particle
-    crossing from the right (p2) in the numerator.
+    x1 < x2, periodicity fixes S = e^{i N p2}.  A solved pair carries the
+    momenta its solver found (for a bound state, S from lambda is a ratio
+    of two nearly vanishing terms).  Only the regularized singular pair and
+    pairs built by the caller take their momenta from lambda, with S from
+    the two-body scattering amplitude, which carries the momentum of the
+    particle crossing from the right (p2) in the numerator.
     """
     if pair.momenta is not None:
         p1, p2 = map(complex, pair.momenta)

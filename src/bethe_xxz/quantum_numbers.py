@@ -2,9 +2,10 @@
 
 The two-string threshold F(N, zeta) decides which equal-quantum-number pairs
 are real (collapsed) and which are complex, and whether the edge pair
-(+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  The enumeration emits
-exactly C(N, 2) labelled pairs for any non-degenerate parameter point; the
-lookup of the pairs that carry one label set applies the same rules in O(1),
+(+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  One classifier
+states these rules for a single label set, in O(1).  The enumeration applies
+it to every label set and emits exactly C(N, 2) labelled pairs for any
+non-degenerate parameter point; the lookup of one label set applies it once,
 so its cost does not grow with N.
 """
 from __future__ import annotations
@@ -68,9 +69,7 @@ def has_extra_two_string(p: ChainParams):
     The stable regime (F = +inf) always satisfies this, in agreement with the
     closed-form inequality on tanh^2(zeta/2).
     """
-    f = threshold_f(p)
-    _check_boundary(p, f)
-    return (p.n - 1) / 2.0 < f
+    return classify_regime(p).extra_two_string
 
 
 def collapse_count_value(n, zeta):
@@ -90,9 +89,7 @@ def collapse_count_value(n, zeta):
 
 def collapse_count(p: ChainParams):
     """Collapse count m >= 0 with the boundary guard applied."""
-    f = threshold_f(p)
-    _check_boundary(p, f)
-    return collapse_count_value(p.n, p.zeta)
+    return classify_regime(p).m_collapsed
 
 
 def classify_regime(p: ChainParams):
@@ -119,121 +116,20 @@ def classify_regime(p: ChainParams):
     )
 
 
-def _half_odds_between(lo, hi):
-    """Half-odd integers j with lo < j < hi (strict), ascending."""
-    out = []
-    tw = 2 * math.floor(lo) + 1
-    if tw / 2.0 <= lo:
-        tw += 2
-    while tw / 2.0 < hi:
-        out.append(HalfInt(tw))
-        tw += 2
-    return out
+def _classes(n, report: RegimeReport, lo, hi):
+    """(j1, j2, class) of every enumerated pair on the label set {lo, hi}.
 
-
-def _special_pairs(p: ChainParams, report: RegimeReport):
-    """Every enumerated pair that is not standard real: O(N) of them.
-
-    The infinite family, the edge pairs, the remaining equal-label pairs, the
-    wide pairs and the singular pair, in no particular order.
+    The labels are doubled, lo <= hi, and e = N - 1 is the doubled edge
+    label.  This is the one statement of the regime rules: standard real
+    pairs fill the interior, the infinite family takes the edge label, the
+    equal labels in (N/4, N/2) are narrow below F and collapsed real above
+    it, the wide pairs sit at adjacent labels, and the singular pair is
+    deduplicated in favour of its positive label.  Integer labels carry no
+    pair.
     """
-    n = p.n
-    f = report.threshold
-    edge = HalfInt(n - 1)  # (N-1)/2
-    pairs = []
-
-    # Infinite family with distinct labels: (k, (N-1)/2) and (-k, -(N-1)/2).
-    for k in _half_odds_between(0.0, (n - 1) / 2.0):
-        pairs.append(QuantumPair(k, edge, SolutionClass.INFINITE_FAMILY_REAL))
-        pairs.append(QuantumPair(-k, -edge, SolutionClass.INFINITE_FAMILY_REAL))
-
-    # Edge pairs (+-(N-1)/2, +-(N-1)/2): real members of the infinite family
-    # unless the extra two-string replaces them.
-    edge_cls = (
-        SolutionClass.EXTRA_TWO_STRING
-        if report.extra_two_string
-        else SolutionClass.INFINITE_FAMILY_REAL
-    )
-    pairs.append(QuantumPair(edge, edge, edge_cls))
-    pairs.append(QuantumPair(-edge, -edge, edge_cls))
-
-    # Remaining equal-label pairs in (N/4, N/2) excluding the edge:
-    # complex narrow below F, collapsed real above F.
-    for j in _half_odds_between(n / 4.0, n / 2.0):
-        if j == edge:
-            continue
-        cls = (
-            SolutionClass.NARROW_PAIR_COMPLEX
-            if float(j) < f
-            else SolutionClass.EQUAL_QN_REAL
-        )
-        pairs.append(QuantumPair(j, j, cls))
-        pairs.append(QuantumPair(-j, -j, cls))
-
-    # Wide pairs (j, j+1) for N/4 - 1/2 < j < (N-1)/2, with mirrors emitted
-    # in ascending label order.
-    for j in _half_odds_between(n / 4.0 - 0.5, (n - 1) / 2.0):
-        pairs.append(QuantumPair(j, j + 1, SolutionClass.WIDE_PAIR_COMPLEX))
-        pairs.append(
-            QuantumPair(-(j + 1), -j, SolutionClass.WIDE_PAIR_COMPLEX)
-        )
-
-    # The singular pair, once; its two equivalent labels are deduplicated in
-    # favour of the positive one.
-    if n % 4 == 0:
-        singular = QuantumPair(
-            HalfInt(n // 2 - 1), HalfInt(n // 2 + 1), SolutionClass.SINGULAR
-        )
-    else:
-        singular = QuantumPair(
-            HalfInt(n // 2), HalfInt(n // 2), SolutionClass.SINGULAR
-        )
-    pairs.append(singular)
-    return pairs
-
-
-def enumerate_all(p: ChainParams):
-    """Complete list of C(N, 2) quantum-number pairs with classes.
-
-    The same (j1, j2) label can appear twice with different classes: the
-    singular pair shares its label with a standard real pair, and each wide
-    pair shares its label set with a member of the infinite real family.
-    """
-    report = classify_regime(p)
-    n = p.n
-
-    # Standard real pairs: all -(N-1)/2 < j1 < j2 < (N-1)/2.
-    interior = _half_odds_between(-(n - 1) / 2.0, (n - 1) / 2.0)
-    pairs = [
-        QuantumPair(interior[a], interior[b], SolutionClass.STANDARD_REAL)
-        for a in range(len(interior))
-        for b in range(a + 1, len(interior))
-    ]
-    pairs += _special_pairs(p, report)
-
-    pairs.sort(key=QuantumPair.key)
-    expected = n * (n - 1) // 2
-    if len(pairs) != expected:
-        raise AssertionError(
-            f"enumeration produced {len(pairs)} pairs, expected {expected}"
-        )
-    return pairs
-
-
-def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
-    """The enumerated pairs whose label set is {j1, j2}, in O(1).
-
-    Equal to filtering enumerate_all(p) on the label set, in the same order.
-    The set is classified straight from the regime report by the rules that
-    _special_pairs generates, so the only pairs built are the ones returned,
-    at most two.  All comparisons are on doubled labels, with e = N - 1.
-    """
-    report = classify_regime(p)
-    n = p.n
-    e = n - 1
-    lo, hi = sorted((j1.twice, j2.twice))
     if lo % 2 == 0 or hi % 2 == 0:
         return []
+    e = n - 1
     found = []
     if lo == hi:
         t = abs(lo)
@@ -267,7 +163,48 @@ def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
             found.append((lo, hi, SolutionClass.WIDE_PAIR_COMPLEX))
         if n % 4 == 0 and (lo, hi) == (n // 2 - 1, n // 2 + 1):
             found.append((lo, hi, SolutionClass.SINGULAR))
-    pairs = [QuantumPair(HalfInt(a), HalfInt(b), cls) for a, b, cls in found]
+    return found
+
+
+def enumerate_all(p: ChainParams):
+    """Complete list of C(N, 2) quantum-number pairs with classes.
+
+    The same (j1, j2) label can appear twice with different classes: the
+    singular pair shares its label with a standard real pair, and each wide
+    pair shares its label set with a member of the infinite real family.
+    """
+    report = classify_regime(p)
+    n = p.n
+    odd = range(-(n - 1), n, 2)
+    label = {twice: HalfInt(twice) for twice in odd}  # built once, shared
+    pairs = [
+        QuantumPair(label[a], label[b], cls)
+        for i, lo in enumerate(odd)
+        for hi in odd[i:]
+        for a, b, cls in _classes(n, report, lo, hi)
+    ]
+    pairs.sort(key=QuantumPair.key)
+    expected = n * (n - 1) // 2
+    if len(pairs) != expected:
+        raise AssertionError(
+            f"enumeration produced {len(pairs)} pairs, expected {expected}"
+        )
+    return pairs
+
+
+def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
+    """The enumerated pairs whose label set is {j1, j2}, in O(1).
+
+    Equal to filtering enumerate_all(p) on the label set, in the same order:
+    both read the classes from _classes, so the only pairs built here are
+    the ones returned, at most two.
+    """
+    report = classify_regime(p)
+    lo, hi = sorted((j1.twice, j2.twice))
+    pairs = [
+        QuantumPair(HalfInt(a), HalfInt(b), cls)
+        for a, b, cls in _classes(p.n, report, lo, hi)
+    ]
     pairs.sort(key=QuantumPair.key)
     return pairs
 

@@ -10,7 +10,15 @@ import numpy as np
 
 from bethe_xxz.equal_solver import DENOMINATOR_TOL, _phase_parts
 from bethe_xxz.height_solver import _contour_maps
-from bethe_xxz.model import ChainParams, DenominatorVanishes, HalfInt
+from bethe_xxz.model import (
+    ChainParams,
+    DenominatorVanishes,
+    HalfInt,
+    QuantumPair,
+    RegimeReport,
+    SolutionClass,
+)
+from bethe_xxz.quantum_numbers import classify_regime
 
 
 def tan2x_complex_raw(phi, n, p: ChainParams):
@@ -144,3 +152,98 @@ def sector_amplitudes(vec, n):
     chi = b[np.minimum(r, n - r)] / math.sqrt(n)
     chi[r > half] *= (-1.0) ** k
     return np.exp(1j * a * (2 * x1 + r)) * chi
+
+
+def _half_odds_between(lo, hi):
+    """Half-odd integers j with lo < j < hi (strict), ascending."""
+    out = []
+    tw = 2 * math.floor(lo) + 1
+    if tw / 2.0 <= lo:
+        tw += 2
+    while tw / 2.0 < hi:
+        out.append(HalfInt(tw))
+        tw += 2
+    return out
+
+
+def special_pairs(p: ChainParams, report: RegimeReport):
+    """Every enumerated pair that is not standard real: O(N) of them.
+
+    The infinite family, the edge pairs, the remaining equal-label pairs, the
+    wide pairs and the singular pair, in no particular order.
+    """
+    n = p.n
+    f = report.threshold
+    edge = HalfInt(n - 1)  # (N-1)/2
+    pairs = []
+
+    # Infinite family with distinct labels: (k, (N-1)/2) and (-k, -(N-1)/2).
+    for k in _half_odds_between(0.0, (n - 1) / 2.0):
+        pairs.append(QuantumPair(k, edge, SolutionClass.INFINITE_FAMILY_REAL))
+        pairs.append(QuantumPair(-k, -edge, SolutionClass.INFINITE_FAMILY_REAL))
+
+    # Edge pairs (+-(N-1)/2, +-(N-1)/2): real members of the infinite family
+    # unless the extra two-string replaces them.
+    edge_cls = (
+        SolutionClass.EXTRA_TWO_STRING
+        if report.extra_two_string
+        else SolutionClass.INFINITE_FAMILY_REAL
+    )
+    pairs.append(QuantumPair(edge, edge, edge_cls))
+    pairs.append(QuantumPair(-edge, -edge, edge_cls))
+
+    # Remaining equal-label pairs in (N/4, N/2) excluding the edge:
+    # complex narrow below F, collapsed real above F.
+    for j in _half_odds_between(n / 4.0, n / 2.0):
+        if j == edge:
+            continue
+        cls = (
+            SolutionClass.NARROW_PAIR_COMPLEX
+            if float(j) < f
+            else SolutionClass.EQUAL_QN_REAL
+        )
+        pairs.append(QuantumPair(j, j, cls))
+        pairs.append(QuantumPair(-j, -j, cls))
+
+    # Wide pairs (j, j+1) for N/4 - 1/2 < j < (N-1)/2, with mirrors emitted
+    # in ascending label order.
+    for j in _half_odds_between(n / 4.0 - 0.5, (n - 1) / 2.0):
+        pairs.append(QuantumPair(j, j + 1, SolutionClass.WIDE_PAIR_COMPLEX))
+        pairs.append(
+            QuantumPair(-(j + 1), -j, SolutionClass.WIDE_PAIR_COMPLEX)
+        )
+
+    # The singular pair, once; its two equivalent labels are deduplicated in
+    # favour of the positive one.
+    if n % 4 == 0:
+        singular = QuantumPair(
+            HalfInt(n // 2 - 1), HalfInt(n // 2 + 1), SolutionClass.SINGULAR
+        )
+    else:
+        singular = QuantumPair(
+            HalfInt(n // 2), HalfInt(n // 2), SolutionClass.SINGULAR
+        )
+    pairs.append(singular)
+    return pairs
+
+
+def enumerate_reference(p: ChainParams):
+    """enumerate_all built constructively: standard pairs plus specials.
+
+    Each class is generated from its own rule rather than by classifying
+    label sets, so the two enumerations agree only if the rules do.
+    """
+    report = classify_regime(p)
+    n = p.n
+
+    # Standard real pairs: all -(N-1)/2 < j1 < j2 < (N-1)/2.
+    interior = _half_odds_between(-(n - 1) / 2.0, (n - 1) / 2.0)
+    pairs = [
+        QuantumPair(interior[a], interior[b], SolutionClass.STANDARD_REAL)
+        for a in range(len(interior))
+        for b in range(a + 1, len(interior))
+    ]
+    pairs += special_pairs(p, report)
+
+    pairs.sort(key=QuantumPair.key)
+    return pairs

@@ -224,8 +224,8 @@ class TestSolve:
 
     def test_builds_no_enumeration(self, capsys, monkeypatch):
         # solve classifies its label set from the regime report alone: with
-        # the O(N) special-pair list and the enumeration made to raise, one
-        # pair of each class prints what it printed before.
+        # the enumeration made to raise, one pair of each class prints what
+        # it printed before.
         picked = {}
         for n, zeta in ((64, 0.3), (22, 1e-3), (8, 0.6), (12, 0.57)):
             for q in enumerate_all(ChainParams(n, zeta)):
@@ -242,7 +242,6 @@ class TestSolve:
             raise AssertionError("solve built the enumeration")
 
         for module, name in (
-            (quantum_numbers, "_special_pairs"),
             (quantum_numbers, "enumerate_all"),
             (cli, "enumerate_all"),
         ):

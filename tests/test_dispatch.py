@@ -3,7 +3,11 @@ import math
 
 import pytest
 
-from bethe_xxz.dispatch import is_boundary_family_pair, solve_quantum_pair
+from bethe_xxz.dispatch import (
+    is_boundary_family_pair,
+    solve_quantum_pair,
+    solve_quantum_pairs,
+)
 from bethe_xxz.model import ChainParams, HalfInt, QuantumPair, SolutionClass
 from bethe_xxz.quantum_numbers import enumerate_all
 
@@ -83,3 +87,21 @@ class TestRouting:
         neg_center = neg.lambda1.real
         shifted = (-neg_center) % math.pi
         assert shifted == pytest.approx(pos_center, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n,zeta",
+        [(n, zeta) for n in (4, 6, 8, 12, 22, 48, 64)
+         for zeta in (1e-3, 0.3, 0.57, 2.0)],
+    )
+    def test_every_solved_pair_carries_its_momenta(self, n, zeta):
+        # Only the exact singular pair is left to the oracle's lambda path:
+        # the boundary pair (1/2, (N-1)/2) carries its momenta (pi, 0).
+        p = ChainParams(n, zeta)
+        pairs = enumerate_all(p)
+        for q, s in zip(pairs, solve_quantum_pairs(pairs, p)):
+            if s.branch_meta["method"] == "singular_exact":
+                assert s.momenta is None
+            else:
+                assert s.momenta is not None, (n, zeta, q)
+            if s.branch_meta["method"] == "boundary_limit":
+                assert s.momenta == (math.pi, 0.0)

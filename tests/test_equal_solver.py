@@ -31,14 +31,13 @@ from bethe_xxz.model import (
 )
 from bethe_xxz.oracle import build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import (
-    _special_pairs,
     classify_regime,
     collapse_count,
     enumerate_all,
     has_extra_two_string,
     threshold_f,
 )
-from reference import tan2x_complex_raw, tan2x_limit
+from reference import special_pairs, tan2x_complex_raw, tan2x_limit
 
 P86 = ChainParams(8, 0.6)
 # The grid of the counting-function scan that the block solver replaced,
@@ -349,11 +348,11 @@ def _real_equal_labels(p):
     """The real equal-label pairs of a sector, both signs.
 
     Standard real pairs never have equal labels, so these are the equal
-    real labels of _special_pairs (TestInventory checks this against
-    enumerate_all).
+    real labels of the reference special pairs (TestInventory checks this
+    against enumerate_all).
     """
     return [
-        q for q in _special_pairs(p, classify_regime(p))
+        q for q in special_pairs(p, classify_regime(p))
         if q.j1 == q.j2 and q.cls.is_real
     ]
 

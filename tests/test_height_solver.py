@@ -92,8 +92,9 @@ class TestFrozenSolutions:
         assert s.lambda1.real == 0.0
         assert s.lambda2.real == math.nextafter(math.pi / 2.0, 0.0)
         assert s.branch_meta["method"] == "boundary_limit"
-        # Its vector takes the lambda path: it carries no block momenta.
-        assert s.momenta is None
+        # It carries the exact momenta (pi, 0) of (0, pi/2), in label order.
+        assert s.momenta == (math.pi, 0.0)
+        assert _solve(7, 1, P86).momenta == (0.0, math.pi)
 
     def test_label_order_controls_output_order(self):
         a = _solve(1, 3, P86)

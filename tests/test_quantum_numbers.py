@@ -23,6 +23,7 @@ from bethe_xxz.quantum_numbers import (
     threshold_f,
     threshold_value,
 )
+from reference import enumerate_reference
 
 P86 = ChainParams(8, 0.6)
 
@@ -194,16 +195,25 @@ STRATIFIED = [
     (22, 1e-3), (48, 0.05),  # m1
     (62, 1e-3), (64, 1e-3),  # m2
 ]
+LOOKUP_GRID = [
+    (n, zeta) for n in range(4, 21, 2) for zeta in (1e-3, 0.05, 0.57, 2.0, 5.0)
+] + STRATIFIED
+
+
+@pytest.mark.parametrize(
+    "n,zeta", LOOKUP_GRID + [(200, 1e-3), (256, 0.3), (400, 0.05)]
+)
+def test_enumeration_matches_constructive_reference(n, zeta):
+    # The classifier applied to every label set gives the pairs that each
+    # class's own generator builds, in the same order.
+    p = ChainParams(n, zeta)
+    assert enumerate_all(p) == enumerate_reference(p)
 
 
 class TestPairsWithLabels:
     """pairs_with_labels(p, j1, j2) is the enumerate_all filter on {j1, j2}."""
 
-    @pytest.mark.parametrize(
-        "n,zeta",
-        [(n, zeta) for n in range(4, 21, 2)
-         for zeta in (1e-3, 0.05, 0.57, 2.0, 5.0)] + STRATIFIED,
-    )
+    @pytest.mark.parametrize("n,zeta", LOOKUP_GRID)
     def test_every_label_set(self, n, zeta):
         # Half-odd, integer, equal and out-of-range labels alike.
         p = ChainParams(n, zeta)

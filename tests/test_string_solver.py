@@ -22,7 +22,6 @@ from bethe_xxz.model import (
 from bethe_xxz import string_solver
 from bethe_xxz.oracle import build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import (
-    _special_pairs,
     classify_regime,
     enumerate_all,
     threshold_f,
@@ -37,7 +36,7 @@ from bethe_xxz.string_solver import (
     tan2x_of_w,
     z1,
 )
-from reference import tan2x_limit
+from reference import special_pairs, tan2x_limit
 
 P86 = ChainParams(8, 0.6)
 
@@ -249,7 +248,7 @@ class TestVectorisedScan:
 def _bound_state_labels(p):
     """The complex labels and the negative boundary label of a sector."""
     return [
-        q for q in _special_pairs(p, classify_regime(p))
+        q for q in special_pairs(p, classify_regime(p))
         if q.cls.is_complex or (is_boundary_family_pair(q, p) and q.j1 < 0)
     ]
 
