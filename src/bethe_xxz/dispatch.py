@@ -1,8 +1,8 @@
 """Routing from an enumerated quantum-number pair to its solver.
 
 One entry point turns any pair produced by enumerate_all into rapidities;
-a second solves many pairs of one sector, with one bisection per momentum
-block and level of its distinct-label real pairs.
+a second solves many pairs of one sector, with one root per momentum block
+and level of its distinct-label real pairs.
 The only subtlety is the boundary member of the infinite real family: its
 two mirrored labels carry two distinct states of the chain (a real pair
 pinned at the domain edge and a wide string centered on the edge), which

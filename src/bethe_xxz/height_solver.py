@@ -11,10 +11,12 @@ pi k / N -+ q, 0 < q < pi, where q is the root of
 
 F rises from 0 at q = 0 to (N - 2) pi at q = pi and crosses each level
 0 < m pi < (N - 2) pi once; since the atan2 lies in [0, pi], the root lies
-in [m pi / N, (m + 2) pi / N].  One bisection finds it, tan(lambda) =
-tanh(zeta/2) cot(p/2) gives the rapidities, and Newton steps on the
-logarithmic equations polish them.  Labels with J1 + J2 < 0 are solved as
-the mirror of (-J1, -J2).
+in [m pi / N, (m + 2) pi / N].  Newton's method finds it in at most 8
+steps, started on the side of the bracket from which it cannot overshoot
+(F is convex for C >= 0 and concave for C < 0), with bisection on the
+bracket as the safeguard.  tan(lambda) = tanh(zeta/2) cot(p/2) gives the
+rapidities, and Newton steps on the logarithmic equations polish them.
+Labels with J1 + J2 < 0 are solved as the mirror of (-J1, -J2).
 
 The paper's height function stays as the label check: on the contour of
 the larger label jc, between consecutive discontinuity points, height(mu1)
@@ -39,6 +41,7 @@ from .model import (
     attempt,
     bae_defect,
     bisect_monotone,
+    newton_monotone,
 )
 from .string_solver import block_index
 
@@ -238,12 +241,40 @@ def _reduced(lam):
     return lam
 
 
+def _scattering_root(a, m, p: ChainParams):
+    """(q, steps, fell_back): the root of F(q) = m pi in the block of
+    momentum a = pi k / N, by newton_monotone.
+
+    F'(q) = N - 2 (1 - r cos q) / (1 - 2 r cos q + r^2) with r = C / Delta.
+    F is convex for C >= 0 and concave for C < 0, so Newton starts at the
+    bracket end where F and F'' share their sign: (m + 2) pi / N for C >= 0,
+    m pi / N for C < 0.
+    """
+    n = p.n
+    ratio = math.cos(a) / p.delta
+    level = m * math.pi
+    sin, cos, atan2 = math.sin, math.cos, math.atan2
+    norm, twice = 1.0 + ratio * ratio, 2.0 * ratio
+
+    def f(q):
+        return n * q - 2.0 * atan2(sin(q), cos(q) - ratio) - level
+
+    def slope(q):
+        c = cos(q)
+        return n - 2.0 * (1.0 - ratio * c) / (norm - twice * c)
+
+    lo, hi = level / n, min(math.pi, (m + 2) * math.pi / n)
+    return newton_monotone(f, slope, lo, hi, hi if ratio >= 0.0 else lo)
+
+
 def _lane(k, m, labels, p: ChainParams):
-    """(pair, polished) for the lane (k, m) of the sorted labels (j_lo, j_hi).
+    """(pair, polished, fell_back) for the lane (k, m) of the sorted labels
+    (j_lo, j_hi).
 
     pair holds the rapidities in label order, each with its momentum
     pi k / N -+ q, its residual not yet gated; polished tells whether the
-    Newton-polished pair was kept.
+    Newton-polished pair was kept, and fell_back whether the root finder
+    left Newton for bisection.
     """
     n = p.n
     if not 0 < m < n - 2:
@@ -261,18 +292,9 @@ def _lane(k, m, labels, p: ChainParams):
         return RapidityPair(
             0j, complex(edge), bae_defect(edge, 0.0, p), 0, meta,
             (math.pi, 0.0),
-        ), False
+        ), False, False
     a = math.pi * k / n
-    ratio = math.cos(a) / p.delta
-    level = m * math.pi
-    sin, cos, atan2 = math.sin, math.cos, math.atan2
-
-    def f(q):
-        return n * q - 2.0 * atan2(sin(q), cos(q) - ratio) - level
-
-    q, steps = bisect_monotone(
-        f, level / n, min(math.pi, (m + 2) * math.pi / n), xtol=0.0
-    )
+    q, steps, fell_back = _scattering_root(a, m, p)
     # The larger rapidity belongs to the larger label; each keeps its
     # momentum.
     p1, p2 = a - q, a + q
@@ -289,7 +311,7 @@ def _lane(k, m, labels, p: ChainParams):
     meta = {"method": "momentum_block", "branch": "scattering", "k": k, "q": q}
     return RapidityPair(
         complex(l1), complex(l2), residual, steps, meta, (p1, p2)
-    ), kept
+    ), kept, fell_back
 
 
 def _oriented(q: QuantumPair, n):
@@ -335,17 +357,16 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve a distinct-label real pair in its momentum block."""
     mirrored, q, ((k, m), labels) = _oriented(q, p.n)
-    pair, _ = _lane(k, m, labels, p)
+    pair = _lane(k, m, labels, p)[0]
     return _member(pair, q, mirrored, defect_tol)
 
 
 def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
-    """solve_pair for many pairs of one sector, one bisection per lane.
+    """solve_pair for many pairs of one sector, one root per lane.
 
     Returns one RapidityPair or BetheError per pair, in input order: what
     solve_pair returns or raises for it.  A pair, its reverse and their
-    mirrors share one lane (k, m), so they share one bisection and one
-    polish.
+    mirrors share one lane (k, m), so they share one root and one polish.
     """
     members = [_oriented(q, p.n) for q in pairs]
     lanes = {}
@@ -353,12 +374,14 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         if key not in lanes:
             lanes[key] = attempt(_lane, *key, labels, p)
     solved = [out for out in lanes.values() if isinstance(out, tuple)]
+    steps = [pair.iterations for pair, _, _ in solved]
     log.debug(
-        "sector batch N=%d zeta=%r: %d pairs, %d lanes, %d bisection steps, "
+        "sector batch N=%d zeta=%r: %d pairs, %d lanes, %d root-finder "
+        "steps (at most %d per lane), %d fallbacks to bisection, "
         "%d kept the polished pair",
-        p.n, p.zeta, len(pairs), len(lanes),
-        sum(pair.iterations for pair, _ in solved),
-        sum(kept for _, kept in solved),
+        p.n, p.zeta, len(pairs), len(lanes), sum(steps), max(steps, default=0),
+        sum(fell_back for _, _, fell_back in solved),
+        sum(kept for _, kept, _ in solved),
     )
     outcomes = []
     for mirrored, q, (key, _) in members:

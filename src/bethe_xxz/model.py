@@ -368,3 +368,38 @@ def bisect_monotone(f, lo, hi, f_lo=None, f_hi=None, xtol=1e-13, max_iter=200):
         else:
             hi, f_hi = mid, f_mid
     return 0.5 * (lo + hi), iterations
+
+
+def newton_monotone(f, df, lo, hi, start, max_iter=50):
+    """Newton's method for a monotone f on [lo, hi], safeguarded by bisection.
+
+    start is the end of the bracket on Fourier's side of the root, where
+    f(start) and f'' share their sign; from there the Newton iterates
+    approach the root monotonically, never crossing it.  Newton stops when
+    f vanishes, or when a step no longer moves away from start, and returns
+    the last iterate that moved.  An iterate outside [lo, hi] (NaN
+    included), a zero slope, or max_iter steps hand the bracket to
+    bisect_monotone, run to adjacent floats.
+
+    Returns (root, steps, fell_back), where steps counts the Newton steps
+    and, after a fallback, the bisection steps too.
+    """
+    toward = 1.0 if start == lo else -1.0
+    x = start
+    steps = 0
+    while steps < max_iter:
+        fx = f(x)
+        steps += 1
+        if fx == 0.0:
+            return x, steps, False
+        slope = df(x)
+        if slope == 0.0:
+            break
+        nxt = x - fx / slope
+        if not lo <= nxt <= hi:
+            break
+        if (nxt - x) * toward <= 0.0:
+            return x, steps, False
+        x = nxt
+    root, bisections = bisect_monotone(f, lo, hi, xtol=0.0)
+    return root, steps + bisections, True

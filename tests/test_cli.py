@@ -329,8 +329,9 @@ class TestSolveAll:
         assert quiet.returncode == loud.returncode == 4
         assert loud.stdout == quiet.stdout
         batch = (
-            r"sector batch N=16 zeta=0\.6: 104 pairs, 56 lanes, \d+ bisection "
-            r"steps, \d+ kept the polished pair\n"
+            r"sector batch N=16 zeta=0\.6: 104 pairs, 56 lanes, \d+ "
+            r"root-finder steps \(at most \d+ per lane\), 0 fallbacks to "
+            r"bisection, \d+ kept the polished pair\n"
         )
         assert re.search(batch, loud.stderr)
         assert loud.stderr.endswith(quiet.stderr)

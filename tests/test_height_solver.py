@@ -24,6 +24,7 @@ from bethe_xxz.height_solver import (
     ContourBracket,
     _oriented,
     _polish_log_form,
+    _scattering_root,
     contour_bracket,
     discontinuity_k,
     height,
@@ -46,6 +47,7 @@ from bethe_xxz.model import (
     bae_defect,
     bisect_monotone,
     magnon_energy,
+    newton_monotone,
 )
 from bethe_xxz.oracle import _momentum, build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import (
@@ -400,17 +402,49 @@ def _reference_block(j1, j2, n):
     return k, round(gap) if total > 0 else n - 2 - round(gap)
 
 
-def _reference_solve_pair(q, p, defect_tol=1e-10):
+def _reference_newton(f, n, k, m, p):
+    """(root, steps): Newton on f = F - m pi, from the end of
+    [m pi / N, (m + 2) pi / N] on Fourier's side, with F' taken afresh at
+    every step.  It stops when f vanishes or a step turns back, and has no
+    fallback: an iterate that leaves the bracket fails the test.
+    """
+    lo, hi = m * math.pi / n, min(math.pi, (m + 2) * math.pi / n)
+    r = math.cos(math.pi * k / n) / p.delta
+    rising = r < 0.0  # concave: start left and move right
+    x, steps = (lo if rising else hi), 0
+    while True:
+        fx = f(x)
+        steps += 1
+        if fx == 0.0:
+            return x, steps
+        c = math.cos(x)
+        nxt = x - fx / (n - 2.0 * (1.0 - r * c) / (1.0 + r * r - 2.0 * r * c))
+        assert lo <= nxt <= hi, (n, k, m, p.zeta, x, nxt)
+        if (nxt <= x) if rising else (nxt >= x):
+            return x, steps
+        x = nxt
+
+
+def _reference_bisection(f, n, k, m, p):
+    """(root, steps): the bisection the block path ran before Newton."""
+    return bisect_monotone(
+        f, m * math.pi / n, min(math.pi, (m + 2) * math.pi / n), xtol=0.0
+    )
+
+
+def _reference_solve_pair(q, p, defect_tol=1e-10, root_of=_reference_newton):
     """The block path for one pair, written out afresh.
 
     No lane is shared: the block and level come from the labels' floats,
     F takes its constants afresh at every step, the rapidities are ordered
-    by hand and polished in the pair's own label order.  The solver must
-    give the same floats.
+    by hand and polished in the pair's own label order.  With the default
+    root_of the solver must give the same floats.
     """
     j1, j2 = q.j1, q.j2
     if float(j1) + float(j2) < 0:
-        return _reference_solve_pair(q.negated(), p, defect_tol).negated()
+        return _reference_solve_pair(
+            q.negated(), p, defect_tol, root_of
+        ).negated()
     n = p.n
     k, m = _reference_block(j1, j2, n)
     lo_label, hi_label = sorted((j1, j2))
@@ -436,9 +470,7 @@ def _reference_solve_pair(q, p, defect_tol=1e-10):
                 - m * math.pi
             )
 
-        root, iterations = bisect_monotone(
-            f, m * math.pi / n, min(math.pi, (m + 2) * math.pi / n), xtol=0.0
-        )
+        root, iterations = root_of(f, n, k, m, p)
         lams = []
         for momentum in (math.pi * k / n - root, math.pi * k / n + root):
             lam = math.atan2(
@@ -640,10 +672,11 @@ class TestSectorBatch:
         assert [o.branch_meta["k"] for o in out] == [4, 4, 4, 4, 6]
         (record,) = caplog.records
         assert record.name == "bethe_xxz.height_solver"
-        steps = expected[0].iterations + expected[4].iterations
+        steps = expected[0].iterations, expected[4].iterations
         assert re.fullmatch(
-            f"sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, {steps} bisection "
-            r"steps, [0-2] kept the polished pair",
+            f"sector batch N=8 zeta=0.6: 5 pairs, 2 lanes, {sum(steps)} "
+            f"root-finder steps \\(at most {max(steps)} per lane\\), "
+            r"0 fallbacks to bisection, [0-2] kept the polished pair",
             record.getMessage(),
         )
 
@@ -693,42 +726,69 @@ class TestSectorBatch:
         assert calls["defect"] == 2 * len(polished) + len(boundary)
         (record,) = caplog.records
         assert record.getMessage().endswith(
-            f"bisection steps, {calls['kept']} kept the polished pair"
+            f"0 fallbacks to bisection, {calls['kept']} kept the polished pair"
         )
 
     @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
-    def test_one_bisection_finishes_each_lane(self, n, zeta, monkeypatch):
-        # Each lane is one bisect_monotone on [m pi / N, (m + 2) pi / N],
-        # run to adjacent floats, and its members report that root and its
-        # steps.
+    def test_one_root_per_lane(self, n, zeta, monkeypatch):
+        # Each lane is one newton_monotone on [m pi / N, (m + 2) pi / N],
+        # started at its right end for C >= 0 and its left end for C < 0,
+        # and its members report that root and its steps.
         p = ChainParams(n, zeta)
         pairs = _batched(p)
         expected = [_outcome(solve_pair, q, p) for q in pairs]
-        bisections = []
+        calls = []
 
-        def recording_bisect(f, lo, hi, **kwargs):
-            root, steps = bisect_monotone(f, lo, hi, **kwargs)
-            bisections.append((lo, hi, kwargs, root, steps))
-            return root, steps
+        def recording_newton(f, df, lo, hi, start):
+            out = newton_monotone(f, df, lo, hi, start)
+            calls.append((lo, hi, start, out))
+            return out
 
-        monkeypatch.setattr(height_solver, "bisect_monotone", recording_bisect)
+        monkeypatch.setattr(height_solver, "newton_monotone", recording_newton)
         assert _batch_outcomes(pairs, p) == expected
+        # The lanes in the order the batch meets them.
         lanes = {}
         for q, (out, meta) in zip(pairs, expected):
             if meta.get("method") == "momentum_block":
                 if float(q.j1) + float(q.j2) < 0:
                     q = q.negated()
                 _, m = _reference_block(q.j1, q.j2, n)
-                lanes[(meta["k"], m)] = (meta["q"], out.iterations)
-        assert len(bisections) == len(lanes) > 1
-        assert {(root, steps) for *_, root, steps in bisections} == set(
-            lanes.values()
-        )
-        brackets = {(lo, hi) for lo, hi, *_ in bisections}
-        assert brackets == {
-            (m * math.pi / n, (m + 2) * math.pi / n) for _, m in lanes
-        }
-        assert all(kwargs == {"xtol": 0.0} for _, _, kwargs, _, _ in bisections)
+                lanes.setdefault((meta["k"], m), (meta["q"], out.iterations))
+        assert len(calls) == len(lanes) > 1
+        starts = set()
+        for ((k, m), (root, steps)), (lo, hi, start, out) in zip(
+            lanes.items(), calls
+        ):
+            assert out == (root, steps, False), (k, m)
+            assert (lo, hi) == (m * math.pi / n, (m + 2) * math.pi / n)
+            convex = math.cos(math.pi * k / n) >= 0.0
+            assert start == (hi if convex else lo), (k, m)
+            starts.add(convex)
+        assert starts == {True, False}
+
+    @pytest.mark.parametrize("n,zeta", [(16, 0.3), (64, 2.0)])
+    def test_fallback_gives_the_bisection_root(self, n, zeta, monkeypatch):
+        # A slope of the wrong sign sends the first Newton step out of the
+        # bracket, so every lane falls back to the bisection it ran before
+        # Newton: the same root, rapidities and defect as that reference.
+        p = ChainParams(n, zeta)
+        pairs = _batched(p)
+        fallbacks = []
+
+        def reversed_slope(f, df, lo, hi, start):
+            out = newton_monotone(f, lambda x: -df(x), lo, hi, start)
+            fallbacks.append(out[2])
+            return out
+
+        monkeypatch.setattr(height_solver, "newton_monotone", reversed_slope)
+        solved = solve_pairs(pairs, p)
+        assert len(fallbacks) > 1 and all(fallbacks)
+        for q, s in zip(pairs, solved):
+            old = _reference_solve_pair(q, p, root_of=_reference_bisection)
+            assert s.branch_meta == old.branch_meta, (q.j1, q.j2)
+            assert (s.lambda1, s.lambda2, s.residual) == (
+                old.lambda1, old.lambda2, old.residual,
+            ), (q.j1, q.j2)
 
     @settings(max_examples=300, deadline=None)
     @given(_polish_inputs())
@@ -873,7 +933,40 @@ class TestCertificate:
             )
 
 
+class TestBisectionBound:
+    @pytest.mark.parametrize("n,zeta", EQUIVALENCE_POINTS)
+    def test_near_the_bisection_root(self, n, zeta):
+        # The bisection the block path ran before Newton, as an independent
+        # bound.  Measured first over these points: q within 4.3e-16
+        # (relative, at (24, 0.3)) and lambda within 3.5e-13 (at
+        # (30, 1e-3)); with CERTIFICATE_POINTS too, 9.6e-16 and 4.0e-13.
+        p = ChainParams(n, zeta)
+        for q in _real_distinct_pairs(p):
+            old = _reference_solve_pair(q, p, root_of=_reference_bisection)
+            new = solve_pair(q, p)
+            assert new.branch_meta.keys() == old.branch_meta.keys()
+            if "q" in old.branch_meta:
+                q_old = old.branch_meta["q"]
+                assert abs(new.branch_meta["q"] - q_old) <= MP_Q_BOUND * q_old
+            assert abs(new.lambda1 - old.lambda1) <= LAMBDA_BOUND, (q.j1, q.j2)
+            assert abs(new.lambda2 - old.lambda2) <= LAMBDA_BOUND, (q.j1, q.j2)
+
+
 ENVELOPE_ZETAS = [1e-3, 0.01, 0.05, 0.3, 0.6, 1.0, 2.0, 3.0, 4.5, 5.0]
+
+
+@pytest.mark.parametrize("zeta", ENVELOPE_ZETAS)
+def test_newton_needs_at_most_eight_steps(zeta):
+    # Every level 0 < m < N - 2 of the parity of the block's lanes,
+    # m = k + 1 (mod 2), a superset of the lanes the solver meets.
+    # Measured first: 2-8 steps, mostly 3 or 4, and no fallback.
+    for n in (8, 22, 64, 128, 200):
+        p = ChainParams(n, zeta)
+        for k in range(n):
+            a = math.pi * k / n
+            for m in range(1 + k % 2, n - 2, 2):
+                _, steps, fell_back = _scattering_root(a, m, p)
+                assert steps <= 8 and not fell_back, (n, k, m)
 
 
 class TestEnvelope:

@@ -1,4 +1,4 @@
-"""Core types: half-integers, parameters, residuals, bisection."""
+"""Core types: half-integers, parameters, residuals, root finders."""
 import math
 
 import pytest
@@ -16,6 +16,7 @@ from bethe_xxz.model import (
     bae_defect,
     bisect_monotone,
     magnon_energy,
+    newton_monotone,
 )
 from reference import log_bae_residual
 
@@ -229,3 +230,51 @@ class TestValueTypes:
         cplx = {c for c in SolutionClass if c.is_complex}
         assert not real & cplx
         assert SolutionClass.SINGULAR not in real | cplx
+
+
+class TestNewtonMonotone:
+    def test_convex_from_the_right(self):
+        # exp(x) - 2 is convex: from the right end the iterates fall
+        # monotonically onto ln 2.
+        root, steps, fell_back = newton_monotone(
+            lambda x: math.exp(x) - 2.0, math.exp, 0.0, 2.0, 2.0
+        )
+        assert root == pytest.approx(math.log(2.0), rel=1e-15)
+        assert 1 < steps < 10 and not fell_back
+
+    def test_concave_from_the_left(self):
+        root, steps, fell_back = newton_monotone(
+            math.log, lambda x: 1.0 / x, 0.25, 3.0, 0.25
+        )
+        assert root == pytest.approx(1.0, rel=1e-15)
+        assert 1 < steps < 10 and not fell_back
+
+    def test_exact_root_at_the_start(self):
+        out = newton_monotone(lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0, 1.0)
+        assert out == (1.0, 1, False)
+
+    def test_step_out_of_the_bracket_falls_back_to_bisection(self):
+        # atan is concave right of 0, so Newton from the right end
+        # overshoots: its first step lands near -138, outside [-1, 10].
+        root, steps, fell_back = newton_monotone(
+            math.atan, lambda x: 1.0 / (1.0 + x * x), -1.0, 10.0, 10.0
+        )
+        bisected, bisections = bisect_monotone(math.atan, -1.0, 10.0, xtol=0.0)
+        assert (root, steps, fell_back) == (bisected, 1 + bisections, True)
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan])
+    def test_zero_or_nan_slope_falls_back(self, slope):
+        root, _, fell_back = newton_monotone(
+            lambda x: x - 0.3, lambda x: slope, 0.0, 1.0, 1.0
+        )
+        assert fell_back
+        assert root == bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, xtol=0.0)[0]
+
+    def test_step_cap_falls_back(self):
+        root, steps, fell_back = newton_monotone(
+            lambda x: math.exp(x) - 2.0, math.exp, 0.0, 2.0, 2.0, max_iter=1
+        )
+        bisected, bisections = bisect_monotone(
+            lambda x: math.exp(x) - 2.0, 0.0, 2.0, xtol=0.0
+        )
+        assert (root, steps, fell_back) == (bisected, 1 + bisections, True)
