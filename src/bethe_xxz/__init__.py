@@ -2,9 +2,10 @@
 periodic anisotropic spin-1/2 chain in its gapped regime.
 
 Public surface: parameter/label types, the regime classifier and pair
-enumeration, the three solvers (distinct real, equal real, complex string),
-the unified dispatcher, the reduced-rapidity divergence tracer, and the
-exact-diagonalization completeness oracle.
+enumeration with each label's block address, the three momentum-block
+solvers (distinct real, equal real, complex string), the dispatcher, the
+reduced-rapidity divergence tracer, and the exact-diagonalization
+completeness oracle.
 """
 from .dispatch import solve_quantum_pair
 from .equal_solver import counting_w, solve_equal, tan2x_of_phi

@@ -1,8 +1,8 @@
 """Real solutions with equal quantum numbers as the top states of odd
 momentum blocks.
 
-A positive label J sits in the odd block k = N - 2J of the momentum frame
-(string_solver).  Its real pair is the block's bound state continued to
+A label J sits in the odd block k of its block address (quantum_numbers).
+Its real pair is the block's bound state (string_solver) continued to
 v = i q: momenta p = a -+ q, cos a = c = |cos(pi k / N)|, and relative
 amplitude e^{-i q r} - e^{-i q (N - r)}.  The hard-core condition at r = 1
 reads
@@ -36,7 +36,8 @@ from .model import (
     bae_defect,
     bisect_monotone,
 )
-from .string_solver import _block_momentum, _log_delta, _log_link, block_index
+from .quantum_numbers import block_address
+from .string_solver import _block_momentum, _log_delta, _log_link
 
 DEFAULT_DEFECT_TOL = 1e-10
 DENOMINATOR_TOL = 1e-13
@@ -131,18 +132,17 @@ def _real_rapidity(momentum, t):
 def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve an equal-quantum-number real pair, or raise NoRealSolution.
 
-    A positive label J < N/2 is solved as the top state of its block; a
-    negative label's pair is the exact negation of its partner's.
+    A label |J| < N/2 is solved as the top state of its block; a mirrored
+    label's pair is the exact negation of its partner's, in block N - k.
     """
     if q.j1 != q.j2:
         raise ValueError("solve_equal requires equal quantum numbers")
-    positive = q if q.j1 > 0 else q.negated()
-    k = block_index(positive, p.n)
+    k, _, _, mirrored = block_address(q, p)
     # Labels at or past N/2 fold back into a block, but carry no state.
-    found = _top_state_q(k, p) if positive.j1.twice < p.n else None
+    found = _top_state_q(k, p) if abs(q.j1.twice) < p.n else None
     if found is None:
         log.debug("equal, J=%r: block k=%d has no real top state",
-                  float(q.j1), block_index(q, p.n))
+                  float(q.j1), -k % p.n if mirrored else k)
         raise NoRealSolution(
             f"counting function never attains {q.j1} at N={p.n}, "
             f"zeta={p.zeta} (complex pair in this regime)"
@@ -151,7 +151,7 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     a = _block_momentum(k, p.n)
     l1, l2 = _real_rapidity(a + root, p.t), _real_rapidity(a - root, p.t)
     x, phi = 0.5 * (l1 + l2), 0.5 * (l2 - l1)
-    if positive is not q:
+    if mirrored:
         l1, l2, x, k, a = -l2, -l1, -x, p.n - k, -a
     log.debug("equal, J=%r: block k=%d, q=%r after %d steps",
               float(q.j1), k, root, steps)

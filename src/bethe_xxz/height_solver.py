@@ -2,12 +2,12 @@
 scattering states.
 
 The sector commutes with translations (string_solver).  A real pair with
-distinct labels J1 + J2 >= 0 is a scattering state of the block
-k = -(J1 + J2) mod N (Karbach & Mueller, arXiv:cond-mat/9809162): momenta
-pi k / N -+ q, 0 < q < pi, where q is the root of
+distinct labels is a scattering state of the block k at the level m of its
+block address (quantum_numbers.block_address; Karbach & Mueller,
+arXiv:cond-mat/9809162): momenta pi k / N -+ q, 0 < q < pi, where q is the
+root of
 
-    F(q) = N q - 2 atan2(sin q, cos q - C / Delta) = m pi,
-    C = cos(pi k / N),  m = |J1 - J2| if J1 + J2 > 0, else N - 2 - |J1 - J2|.
+    F(q) = N q - 2 atan2(sin q, cos q - C / Delta) = m pi,  C = cos(pi k / N).
 
 F rises from 0 at q = 0 to (N - 2) pi at q = pi and crosses each level
 0 < m pi < (N - 2) pi once; since the atan2 lies in [0, pi], the root lies
@@ -16,7 +16,7 @@ steps, started on the side of the bracket from which it cannot overshoot
 (F is convex for C >= 0 and concave for C < 0), with bisection on the
 bracket as the safeguard.  tan(lambda) = tanh(zeta/2) cot(p/2) gives the
 rapidities, and Newton steps on the logarithmic equations polish them.
-Labels with J1 + J2 < 0 are solved as the mirror of (-J1, -J2).
+Mirrored labels are solved as (-J1, -J2) and negated.
 
 The paper's height function stays as the label check: on the contour of
 the larger label jc, between consecutive discontinuity points, height(mu1)
@@ -43,7 +43,7 @@ from .model import (
     bisect_monotone,
     newton_monotone,
 )
-from .string_solver import block_index
+from .quantum_numbers import block_address
 
 DISCONTINUITY_TOL = 1e-13
 DEFAULT_DEFECT_TOL = 1e-10
@@ -314,22 +314,20 @@ def _lane(k, m, labels, p: ChainParams):
     ), kept, fell_back
 
 
-def _oriented(q: QuantumPair, n):
+def _oriented(q: QuantumPair, p: ChainParams):
     """(mirrored, q, lane) for q after mirroring; lane is ((k, m), labels).
 
-    A pair with J1 + J2 < 0 is solved as (-J1, -J2) and negated, which
-    gives exactly negated rapidities.  labels are the sorted labels.
+    k, m and the mirroring are q's block address, whatever its kind: a
+    mirrored pair is solved as (-J1, -J2) and negated, which gives exactly
+    negated rapidities.  labels are the sorted labels.
     """
-    t1, t2 = q.j1.twice, q.j2.twice
-    if t1 == t2:
+    if q.j1.twice == q.j2.twice:
         raise ValueError("solve_pair requires distinct quantum numbers")
-    mirrored = t1 + t2 < 0
+    k, _, m, mirrored = block_address(q, p)
     if mirrored:
         q = q.negated()
-    gap = abs(t1 - t2) // 2
-    m = gap if t1 + t2 != 0 else n - 2 - gap
     labels = (q.j1, q.j2) if q.j1.twice < q.j2.twice else (q.j2, q.j1)
-    return mirrored, q, ((block_index(q, n), m), labels)
+    return mirrored, q, ((k, m), labels)
 
 
 def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
@@ -356,7 +354,7 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
 
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve a distinct-label real pair in its momentum block."""
-    mirrored, q, ((k, m), labels) = _oriented(q, p.n)
+    mirrored, q, ((k, m), labels) = _oriented(q, p)
     pair = _lane(k, m, labels, p)[0]
     return _member(pair, q, mirrored, defect_tol)
 
@@ -368,7 +366,7 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     solve_pair returns or raises for it.  A pair, its reverse and their
     mirrors share one lane (k, m), so they share one root and one polish.
     """
-    members = [_oriented(q, p.n) for q in pairs]
+    members = [_oriented(q, p) for q in pairs]
     lanes = {}
     for _, _, (key, labels) in members:
         if key not in lanes:

@@ -374,13 +374,15 @@ def _norm(v):
     return math.sqrt(np.vdot(v, v).real)
 
 
-def regularized_singular_pair(p: ChainParams, eps=SINGULAR_EPS):
+def regularized_singular_pair(p: ChainParams, eps=None):
     """Slightly displaced singular rapidities with the first equation kept.
 
     The displacement of the second rapidity is eps minus a first-order
     correction d chosen so the displaced pair still satisfies the first
-    product-form equation to second order in eps.
+    product-form equation to second order in eps, by default
+    SINGULAR_EPS * min(1, zeta): the energy error grows like 2 (eps/zeta)^2.
     """
+    eps = SINGULAR_EPS * min(1.0, p.zeta) if eps is None else eps
     hz = 0.5j * p.zeta
     # 1/R with R = (sin(i zeta + eps) / sin eps)^N: R overflows at large
     # N zeta, while 1/R underflows harmlessly to zero, and so does d; the

@@ -1,12 +1,12 @@
-"""Regime classification and complete enumeration of quantum-number pairs.
+"""Regime classification, enumeration and block addresses of label pairs.
 
 The two-string threshold F(N, zeta) decides which equal-quantum-number pairs
 are real (collapsed) and which are complex, and whether the edge pair
 (+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  One classifier
-states these rules for a single label set, in O(1).  The enumeration applies
+states these rules for a single label set, in O(1); the enumeration applies
 it to every label set and emits exactly C(N, 2) labelled pairs for any
-non-degenerate parameter point; the lookup of one label set applies it once,
-so its cost does not grow with N.
+non-degenerate parameter point.  block_address maps each labelled pair to
+the momentum block, level and kind of state that the solvers find for it.
 """
 from __future__ import annotations
 
@@ -207,6 +207,45 @@ def pairs_with_labels(p: ChainParams, j1: HalfInt, j2: HalfInt):
     ]
     pairs.sort(key=QuantumPair.key)
     return pairs
+
+
+def is_boundary_family_pair(q: QuantumPair, p: ChainParams):
+    """True for the (+-1/2, +-(N-1)/2) members of the infinite family."""
+    if q.cls is not SolutionClass.INFINITE_FAMILY_REAL:
+        return False
+    magnitudes = {abs(q.j1).twice, abs(q.j2).twice}
+    return magnitudes == {1, p.n - 1} and (q.j1 < 0) == (q.j2 < 0)
+
+
+def block_address(q: QuantumPair, p: ChainParams):
+    """(k, kind, level, mirrored): the momentum block that solves q.
+
+    The one statement of the label -> block map (Karbach & Mueller,
+    arXiv:cond-mat/9809162).  A pair with J1 + J2 < 0 is mirrored: its state
+    is the negation of the state of (-J1, -J2), and k and level are the
+    mirror's.  So k = -|J1 + J2| mod N, and distinct labels sit at level
+    m = |J1 - J2|, or N - 2 - |J1 - J2| when J1 + J2 = 0.  kind is the
+    label's state in block k: scattering (distinct real labels, at level
+    m), top (equal real labels), bound (complex labels: narrow for odd k,
+    wide for even k), singular (in block N/2) or edge (the negative
+    boundary labels, whose state is block 0's bound state).
+    """
+    t1, t2 = q.j1.twice, q.j2.twice
+    total, gap, cls = t1 + t2, abs(t1 - t2) // 2, q.cls
+    if cls is SolutionClass.STANDARD_REAL:
+        kind = "scattering"
+    elif cls.is_complex:
+        kind = "bound"
+    elif cls is SolutionClass.SINGULAR:
+        kind = "singular"
+    elif t1 == t2:
+        kind = "top"
+    elif total < 0 and is_boundary_family_pair(q, p):
+        kind = "edge"
+    else:
+        kind = "scattering"
+    level = gap if total else p.n - 2 - gap
+    return -(abs(total) // 2) % p.n, kind, level, total < 0
 
 
 def regime_label_from_report(report: RegimeReport):

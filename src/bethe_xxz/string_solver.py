@@ -1,8 +1,9 @@
 """Complex two-strings as the bound states of the momentum blocks.
 
 The sector commutes with translations.  In the block of total momentum
-K = 2 pi k / N, with k = -(J1 + J2) mod N, a conjugate pair is the
-two-magnon bound state (Karbach & Mueller, arXiv:cond-mat/9809162): momenta
+K = 2 pi k / N, with k the block of its labels' address
+(quantum_numbers.block_address), a conjugate pair is the two-magnon bound
+state (Karbach & Mueller, arXiv:cond-mat/9809162): momenta
 p = a -+ i v with cos a = c = |cos(pi k / N)|, and relative amplitude
 e^{-v r} + s e^{-v (N - r)}, s = (-1)^k.  The hard-core condition at r = 1
 reads
@@ -27,7 +28,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from enum import Enum
 
 from .model import (
     ChainParams,
@@ -36,21 +36,16 @@ from .model import (
     NoRootOnBranch,
     QuantumPair,
     RapidityPair,
-    SolutionClass,
     ToleranceNotReached,
     bisect_monotone,
 )
+from .quantum_numbers import block_address
 
 DEFAULT_DEFECT_TOL = 1e-8
 # Below log|y| = -40, log1p(y) equals y to a relative 1e-18.
 LOG_LINEAR = -40.0
 
 log = logging.getLogger(__name__)
-
-
-class Branch(Enum):
-    NARROW = "narrow"
-    WIDE = "wide"
 
 
 def delta_of_w(w, p: ChainParams):
@@ -158,11 +153,6 @@ def _block_momentum(k, n):
     return math.pi * k / n if 2 * k <= n else -math.pi * (n - k) / n
 
 
-def block_index(q: QuantumPair, n):
-    """Momentum index k = -(J1 + J2) mod N of the block that carries q."""
-    return -((q.j1.twice + q.j2.twice) // 2) % n
-
-
 def _log_excess(v, n, s):
     """log|eps| for the excess eps that the bound-state equation gives at v > 0.
 
@@ -201,7 +191,7 @@ def _rapidity(a, v, h, zeta):
     return complex(-0.5 * log_ratio.imag, 0.5 * (log_ratio.real - zeta))
 
 
-def _bound_state(k, p: ChainParams, branch, method, defect_tol):
+def _bound_state(k, p: ChainParams, method, defect_tol):
     """The bound state of block k as a conjugate pair, momenta a -+ i v.
 
     Bisects u = log|eps| on u - log|eps(v_inf + s e^u)|, whose sign rises
@@ -212,6 +202,7 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
     """
     n = p.n
     s = 1 if k % 2 == 0 else -1
+    branch = "wide" if s > 0 else "narrow"
     if 2 * k == n:
         raise NoRootOnBranch(
             f"block k={k} has c = 0: its top state is the singular pair"
@@ -251,7 +242,7 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
     residual = abs(math.expm1(_log_excess(v, n, s) - log_eps))
     log.debug(
         "%s bound state, k=%d: v=%r, log|eps|=%r after %d steps, residual %r",
-        branch.value, k, v, log_eps, steps, residual,
+        branch, k, v, log_eps, steps, residual,
     )
     if residual > defect_tol:
         raise ToleranceNotReached(
@@ -267,7 +258,7 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
         iterations=steps,
         branch_meta={
             "method": method,
-            "branch": branch.value,
+            "branch": branch,
             "k": k,
             "v": v,
             "log_eps": log_eps,
@@ -276,38 +267,26 @@ def _bound_state(k, p: ChainParams, branch, method, defect_tol):
     )
 
 
-_BRANCH_BY_CLASS = {
-    SolutionClass.NARROW_PAIR_COMPLEX: Branch.NARROW,
-    SolutionClass.EXTRA_TWO_STRING: Branch.NARROW,
-    SolutionClass.WIDE_PAIR_COMPLEX: Branch.WIDE,
-}
-
-
 def solve_complex(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve a complex conjugate pair as the bound state of its block.
 
-    The block is k = -(J1 + J2) mod N.  Negative labels are solved as the
-    mirror of their positive partners.
+    The block and the mirroring are q's block address: a mirrored pair is
+    the negation of the bound state of its mirror's block.
     """
-    branch = _BRANCH_BY_CLASS.get(q.cls)
-    if branch is None:
+    k, kind, _, mirrored = block_address(q, p)
+    if kind != "bound":
         raise ValueError(f"solve_complex cannot handle class {q.cls}")
-    if q.j1 < 0 or (q.j1 == 0 and q.j2 < 0):
-        mirror = solve_complex(q.negated(), p, defect_tol=defect_tol)
-        return mirror.negated()
-    k = block_index(q, p.n)
-    return _bound_state(k, p, branch, "momentum_block", defect_tol)
+    pair = _bound_state(k, p, "momentum_block", defect_tol)
+    return pair.negated() if mirrored else pair
 
 
 def solve_boundary_string(p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Wide conjugate pair centered on the edge of the rapidity domain.
 
-    This is the state carried by the negative boundary label of the
-    infinite family, whose mirror partner is the real pair at the domain
-    edge; its counting value sits exactly at (N-1)/2.  It is the bound
-    state of block 0 (the labels' own k is N/2).
+    The state of the labels of kind edge (quantum_numbers.block_address),
+    block 0's bound state; its counting value sits exactly at (N-1)/2.
     """
-    return _bound_state(0, p, Branch.WIDE, "boundary_string", defect_tol)
+    return _bound_state(0, p, "boundary_string", defect_tol)
 
 
 def singular_solution(p: ChainParams):

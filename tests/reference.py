@@ -20,6 +20,15 @@ from bethe_xxz.model import (
 )
 from bethe_xxz.quantum_numbers import classify_regime
 
+# The two branches of the complex counting function Z1(w), narrow (w < 1)
+# and wide (w > 1), and the branch each complex class takes its labels on.
+NARROW, WIDE = "narrow", "wide"
+BRANCH_OF_CLASS = {
+    SolutionClass.NARROW_PAIR_COMPLEX: NARROW,
+    SolutionClass.EXTRA_TWO_STRING: NARROW,
+    SolutionClass.WIDE_PAIR_COMPLEX: WIDE,
+}
+
 
 def tan2x_complex_raw(phi, n, p: ChainParams):
     """Unfactored complex evaluation of the same closed form (cross-check).

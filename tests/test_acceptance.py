@@ -36,9 +36,9 @@ from bethe_xxz.quantum_numbers import (
     regime_label_from_report,
     threshold_value,
 )
-from bethe_xxz.string_solver import Branch, solve_complex, z1
+from bethe_xxz.string_solver import solve_complex, z1
 from bethe_xxz.xxx_limit import trace_divergence
-from reference import diff_p, tan2x_limit
+from reference import NARROW, WIDE, diff_p, tan2x_limit
 
 
 def _report(message):
@@ -226,8 +226,8 @@ def test_07_monotonicity_property_suite(capsys):
 
         # Complex counting function: decreasing on the narrow branch,
         # increasing on the wide branch.
-        for branch in Branch:
-            if branch is Branch.NARROW:
+        for branch in (NARROW, WIDE):
+            if branch == NARROW:
                 lo, hi = 1e-5, 1.0 - 1e-6
             else:
                 # (1 - 1e-12)/t keeps atanh(w t) finite.
@@ -242,7 +242,7 @@ def test_07_monotonicity_property_suite(capsys):
                     w = min(w * ratio, hi)
                     continue
                 if prev is not None:
-                    if branch is Branch.NARROW:
+                    if branch == NARROW:
                         assert val <= prev + 1e-12, (n, zeta, w)
                     else:
                         assert val >= prev - 1e-12, (n, zeta, w)

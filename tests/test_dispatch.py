@@ -9,9 +9,10 @@ from bethe_xxz.dispatch import (
     solve_quantum_pairs,
 )
 from bethe_xxz.model import ChainParams, HalfInt, QuantumPair, SolutionClass
-from bethe_xxz.quantum_numbers import enumerate_all
+from bethe_xxz.quantum_numbers import block_address, enumerate_all
 
 P86 = ChainParams(8, 0.6)
+ROUTING_POINTS = [(4, 1e-3), (8, 0.6), (12, 0.3), (16, 300.0), (48, 2.0)]
 
 
 def _methods_by_class(p):
@@ -34,6 +35,38 @@ class TestRouting:
             "boundary_limit",
             "boundary_string",
         }
+
+    @pytest.mark.parametrize("n,zeta", ROUTING_POINTS)
+    def test_kind_agrees_with_the_solved_record(self, n, zeta):
+        # Each label's block kind names the state its record holds; a bound
+        # state's branch follows the parity of its block.
+        p = ChainParams(n, zeta)
+        pairs = enumerate_all(p)
+        kinds = set()
+        for q, s in zip(pairs, solve_quantum_pairs(pairs, p)):
+            k, kind, _, _ = block_address(q, p)
+            kinds.add(kind)
+            meta = s.branch_meta
+            got = (meta["method"], meta.get("branch"))
+            if kind == "scattering":
+                if (q.j1.twice, q.j2.twice) == (1, n - 1):
+                    assert got == ("boundary_limit", None), q.key()
+                else:
+                    assert got == ("momentum_block", "scattering"), q.key()
+                    assert meta["k"] == k, q.key()
+            elif kind == "top":
+                assert got == ("momentum_block", "real"), q.key()
+            elif kind == "bound":
+                branch = "narrow" if k % 2 else "wide"
+                assert got == ("momentum_block", branch), q.key()
+                assert meta["k"] == k, q.key()
+            elif kind == "edge":
+                assert got == ("boundary_string", "wide"), q.key()
+                assert meta["k"] == 0
+            else:
+                assert kind == "singular", q.key()
+                assert got == ("singular_exact", None), q.key()
+        assert {"scattering", "edge", "singular"} <= kinds
 
     def test_boundary_family_detection(self):
         fam = SolutionClass.INFINITE_FAMILY_REAL

@@ -12,17 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethe_xxz import height_solver
-from bethe_xxz.dispatch import (
-    _goes_to_solve_pair,
-    is_boundary_family_pair,
-    solve_quantum_pair,
-    solve_quantum_pairs,
-)
+from bethe_xxz.dispatch import solve_quantum_pair, solve_quantum_pairs
 from bethe_xxz.height_solver import (
     DEFAULT_DEFECT_TOL,
     DISCONTINUITY_TOL,
     ContourBracket,
-    _oriented,
     _polish_log_form,
     _scattering_root,
     contour_bracket,
@@ -51,12 +45,13 @@ from bethe_xxz.model import (
 )
 from bethe_xxz.oracle import _momentum, build_hamiltonian, momentum_blocks
 from bethe_xxz.quantum_numbers import (
+    block_address,
     collapse_count,
     enumerate_all,
     has_extra_two_string,
+    is_boundary_family_pair,
     threshold_f,
 )
-from bethe_xxz.string_solver import block_index
 from reference import diff_p, height_guard, sector_height
 
 P86 = ChainParams(8, 0.6)
@@ -564,7 +559,11 @@ class TestMemoizedContours:
 
 def _batched(p):
     """The pairs dispatch sends to solve_pair, in enumeration order."""
-    return [q for q in enumerate_all(p) if _goes_to_solve_pair(q, p)]
+    return [q for q in enumerate_all(p) if _is_scattering(q, p)]
+
+
+def _is_scattering(q, p):
+    return block_address(q, p)[1] == "scattering"
 
 
 def _as_outcomes(results):
@@ -879,7 +878,7 @@ def _lane_sample(p, count):
     """About count pairs with J1 < J2 and J1 + J2 >= 0, one per lane."""
     lanes = [
         q for q in enumerate_all(p)
-        if _goes_to_solve_pair(q, p) and q.j1 < q.j2
+        if _is_scattering(q, p) and q.j1 < q.j2
         and q.j1.twice + q.j2.twice >= 0
     ]
     return lanes[:: max(1, len(lanes) // count)]
@@ -903,7 +902,7 @@ class TestCertificate:
             s = solve_pair(q, p)
             if s.branch_meta["method"] == "boundary_limit":
                 continue
-            _, _, ((k, m), _) = _oriented(q, n)
+            k, _, m, _ = block_address(q, p)
             root, lams = _mp_scattering(n, k, m, zeta)
             assert s.branch_meta["k"] == k
             assert abs(s.branch_meta["q"] - root) <= MP_Q_BOUND, (q.j1, q.j2)
@@ -1020,11 +1019,10 @@ class TestBlockInventory:
         + [((256, 400), zeta) for zeta in (1e-3, 0.3, 5.0)],
     )
     def test_levels_fill_each_block(self, ns, zeta):
-        # The (k, m) map of the solver sends the distinct-label real labels
-        # of block k = -(J1 + J2) mod N onto {m = k + 1 (mod 2), 0 < m < N - 2},
-        # each level once.  A mirrored pair is solved in block N - k at
-        # level m, so in its own block it sits at q -> pi - q, level
-        # N - 2 - m.
+        # block_address sends the labels of kind scattering of each block k
+        # onto {m = k + 1 (mod 2), 0 < m < N - 2}, each level once.  A
+        # mirrored pair is solved in block k at level m, so in its own
+        # block N - k it sits at q -> pi - q, level N - 2 - m.
         checked = 0
         for n in ns:
             p = ChainParams(n, zeta)
@@ -1034,8 +1032,8 @@ class TestBlockInventory:
                 continue
             levels = {k: [] for k in range(n)}
             for q in pairs:
-                if _goes_to_solve_pair(q, p):
-                    mirrored, _, ((k, m), _) = _oriented(q, n)
+                k, kind, m, mirrored = block_address(q, p)
+                if kind == "scattering":
                     if mirrored:
                         k, m = -k % n, n - 2 - m
                     levels[k].append(m)
@@ -1050,11 +1048,12 @@ class TestBlockInventory:
         + [((256, 400), zeta) for zeta in (1e-3, 0.3, 5.0)],
     )
     def test_one_other_label_per_block(self, ns, zeta):
-        # Besides its scattering labels, block k = -(J1 + J2) mod N holds
-        # exactly one label: a bound state (a complex pair), the real top
+        # Besides its scattering labels, each block holds exactly one label
+        # of another kind: a bound state (a complex pair), the real top
         # state (an equal real label), the singular pair (in block N/2), or
         # the edge string, the bound state of block 0, whose labels sum to
         # N/2.  With the levels above that fills the block's dimension.
+        # Each kind is checked against the label's class.
         # Real top states sit in odd blocks only: per sign, those of the
         # collapsed labels and of the edge pair while it stays real, as
         # many as the half-odd labels above the threshold F.
@@ -1067,19 +1066,25 @@ class TestBlockInventory:
                 continue
             others = {k: [] for k in range(n)}
             for q in pairs:
-                if _goes_to_solve_pair(q, p):
+                k, kind, _, mirrored = block_address(q, p)
+                if kind == "scattering":
+                    assert q.cls.is_real and q.j1 != q.j2, (n, q.key())
                     continue
-                k = block_index(q, n)
-                if q.cls is SolutionClass.SINGULAR:
-                    kind = "singular"
+                if mirrored:
+                    k = -k % n
+                assert (kind == "singular") == (
+                    q.cls is SolutionClass.SINGULAR
+                ), (n, q.key())
+                assert (kind == "bound") == q.cls.is_complex, (n, q.key())
+                assert (kind == "edge") == (
+                    is_boundary_family_pair(q, p) and q.j1 < 0
+                ), (n, q.key())
+                if kind == "singular":
                     assert k == n // 2, (n, q.key())
-                elif q.cls.is_complex:
-                    kind = "bound"
-                elif is_boundary_family_pair(q, p):
-                    kind = "edge"
-                    k = (k + n // 2) % n
-                else:
-                    kind = "top"
+                elif kind == "edge":
+                    assert k == n // 2, (n, q.key())
+                    k = 0
+                elif kind == "top":
                     assert q.cls.is_real and q.j1 == q.j2, (n, q.key())
                 others[k].append(kind)
             assert all(len(kinds) == 1 for kinds in others.values()), n

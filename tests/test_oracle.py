@@ -37,7 +37,7 @@ from bethe_xxz.oracle import (
     regularized_singular_pair,
     singular_vector,
 )
-from bethe_xxz.quantum_numbers import enumerate_all
+from bethe_xxz.quantum_numbers import block_address, enumerate_all
 from reference import sector_amplitudes
 
 P86 = ChainParams(8, 0.6)
@@ -511,8 +511,10 @@ class TestSingularState:
 
 class TestRegularizedSingularPair:
     @staticmethod
-    def _formula(p, eps=oracle.SINGULAR_EPS):
+    def _formula(p, eps=None):
         """The displaced pair as formed before the underflow guard."""
+        if eps is None:
+            eps = oracle.SINGULAR_EPS * min(1.0, p.zeta)
         hz = 0.5j * p.zeta
         inv_r = (cmath.sin(eps) / cmath.sin(2.0 * hz + eps)) ** p.n
         d = cmath.atan(
@@ -539,6 +541,19 @@ class TestRegularizedSingularPair:
         assert pair.lambda1 == hz + oracle.SINGULAR_EPS
         assert pair.lambda2 == -hz + oracle.SINGULAR_EPS
 
+    @pytest.mark.parametrize("n,zeta", [(4, 1e-4), (10, 1e-5), (48, 1e-6)])
+    def test_cross_check_holds_at_small_zeta(self, n, zeta):
+        # The displaced pair's energy error grows like 2 (eps/zeta)^2, so a
+        # fixed eps failed the cross-check below zeta of about 1e-4 with
+        # every state matched; the default eps scales with zeta there.
+        p = ChainParams(n, zeta)
+        assert regularized_singular_pair(p).branch_meta["eps"] == (
+            oracle.SINGULAR_EPS * zeta
+        )
+        match = completeness_check(p)
+        assert len(match.entries) == n * (n - 1) // 2
+        assert match.unavailable == ()
+
 
 # The verify envelope, even N 4-200 x zeta in [1e-3, 5], stratified: each
 # of the ten zeta of the solver envelopes at one N of 4-22 and one of
@@ -561,6 +576,53 @@ class TestVerifyEnvelope:
         assert match.max_energy_error <= ENERGY_RTOL
         assert match.max_residual <= RESIDUAL_TOL
         assert match.unsolved == match.unavailable == ()
+
+
+def _block_rank(q, p):
+    """(k, rank): the label's own block and its ascending eigenvalue rank.
+
+    Block k holds d = N/2 - (k mod 2) states.  A scattering label at its
+    own level m takes rank d - 2 - (m - 1) // 2 if cos(pi k / N) > 0 and
+    (m - 1) // 2 otherwise; every other kind takes the top rank d - 1.
+    In block N/2 every state but the top one sits at -2 Delta, so its
+    scattering ranks need no special case.
+    """
+    n = p.n
+    k, kind, m, mirrored = block_address(q, p)
+    if mirrored:
+        k, m = -k % n, n - 2 - m
+    if kind == "edge":
+        k = 0
+    d = n // 2 - k % 2
+    if kind != "scattering":
+        return k, d - 1
+    j = (m - 1) // 2
+    return k, (d - 2 - j if math.cos(math.pi * k / n) > 0 else j)
+
+
+class TestBlockRank:
+    @pytest.mark.parametrize("n,zeta", VERIFY_ENVELOPE[:20])
+    def test_every_label_takes_its_own_rank(self, n, zeta):
+        # Each solved pair's energy is the eigenvalue of its own block at
+        # the rank its label gives, and no two labels share a slot.
+        p = ChainParams(n, zeta)
+        ham = build_hamiltonian(p)
+        spectra = [np.linalg.eigvalsh(b) for b in momentum_blocks(ham)]
+        pairs = enumerate_all(p)
+        slots = set()
+        for q, rap in zip(pairs, solve_quantum_pairs(pairs, p)):
+            k, rank = _block_rank(q, p)
+            slots.add((k, rank))
+            if q.cls is SolutionClass.SINGULAR:
+                vec = singular_vector(ham)
+            else:
+                vec = bethe_vector(rap, p)
+            energy, _ = rayleigh_energy(vec, ham)
+            want = spectra[k][rank]
+            assert abs(energy - want) <= ENERGY_RTOL * max(1.0, abs(want)), (
+                q.key(), k, rank, energy, want
+            )
+        assert len(slots) == len(pairs) == sum(map(len, spectra))
 
 
 class TestCompleteness:

@@ -27,8 +27,6 @@ from bethe_xxz.quantum_numbers import (
     threshold_f,
 )
 from bethe_xxz.string_solver import (
-    Branch,
-    _BRANCH_BY_CLASS,
     delta_of_w,
     singular_solution,
     solve_boundary_string,
@@ -36,7 +34,13 @@ from bethe_xxz.string_solver import (
     tan2x_of_w,
     z1,
 )
-from reference import special_pairs, tan2x_limit
+from reference import (
+    BRANCH_OF_CLASS,
+    NARROW,
+    WIDE,
+    special_pairs,
+    tan2x_limit,
+)
 
 P86 = ChainParams(8, 0.6)
 
@@ -131,7 +135,7 @@ class TestCountingFunction:
         )
 
     def test_narrow_branch_decreasing(self):
-        runs = _branch_runs(Branch.NARROW, P86)
+        runs = _branch_runs(NARROW, P86)
         assert sum(len(r) for r in runs) > 500
         for run in runs:
             assert all(a >= b - 1e-12 for a, b in zip(run, run[1:]))
@@ -140,14 +144,14 @@ class TestCountingFunction:
         # Part of the w-grid falls outside the physical wide region (the
         # closed form has no real center there); monotonicity is checked on
         # each contiguous valid run.
-        runs = _branch_runs(Branch.WIDE, P86)
+        runs = _branch_runs(WIDE, P86)
         assert sum(len(r) for r in runs) > 100
         for run in runs:
             assert all(a <= b + 1e-12 for a, b in zip(run, run[1:]))
 
 
 def _branch_runs(branch, p, points=1000):
-    if branch is Branch.NARROW:
+    if branch == NARROW:
         lo, hi = 1e-5, 1.0 - 1e-6
     else:
         lo, hi = 1.0 + 1e-6, (1.0 - 1e-12) / p.t * (1.0 - 1e-9)
@@ -174,7 +178,7 @@ SCAN_POINTS = 4096
 
 
 def _reference_bounds(branch, p):
-    if branch is Branch.NARROW:
+    if branch == NARROW:
         lo, hi = 1e-6, 1.0 - 1e-9
     else:
         lo, hi = 1.0 + 1e-9, (1.0 - 1e-12) / p.t
@@ -235,7 +239,7 @@ class TestVectorisedScan:
                 continue
             sol = solve_complex(q, p)
             target = float(min(abs(q.j1), abs(q.j2)))
-            w = _reference_solve_on_branch(target, _BRANCH_BY_CLASS[q.cls], p)
+            w = _reference_solve_on_branch(target, BRANCH_OF_CLASS[q.cls], p)
             if w is None:
                 continue
             scanned = complex(
