@@ -6,6 +6,11 @@ enumeration with each label's block address, the three momentum-block
 solvers (distinct real, equal real, complex string), the dispatcher, the
 reduced-rapidity divergence tracer, and the exact-diagonalization
 completeness oracle.
+
+The oracle is the only module that imports numpy.  Its four names here
+(SpectrumMatch, bethe_vector, build_hamiltonian, completeness_check) load
+it on first use, so importing the package, and every command but
+`verify`, leaves numpy unimported.
 """
 from .dispatch import solve_quantum_pair
 from .equal_solver import counting_w, solve_equal, tan2x_of_phi
@@ -20,12 +25,6 @@ from .model import (
     SolutionClass,
     bae_defect,
     magnon_energy,
-)
-from .oracle import (
-    SpectrumMatch,
-    bethe_vector,
-    build_hamiltonian,
-    completeness_check,
 )
 from .quantum_numbers import (
     classify_regime,
@@ -78,3 +77,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The oracle's names load it, and numpy with it, on first use (PEP 562).
+_ORACLE_NAMES = frozenset(
+    {"SpectrumMatch", "bethe_vector", "build_hamiltonian", "completeness_check"}
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

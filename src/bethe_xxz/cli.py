@@ -31,7 +31,6 @@ from .model import (
     attempt,
     magnon_energy,
 )
-from .oracle import completeness_check
 from .quantum_numbers import (
     classify_regime,
     enumerate_all,
@@ -237,6 +236,10 @@ def cmd_solve_all(args):
 
 
 def cmd_verify(args):
+    # The oracle is the only module that needs numpy: import it here, so
+    # no other command pays for it.
+    from .oracle import completeness_check
+
     p = ChainParams(args.n, args.zeta)
     try:
         match = completeness_check(p)

@@ -133,7 +133,8 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve an equal-quantum-number real pair, or raise NoRealSolution.
 
     A label |J| < N/2 is solved as the top state of its block; a mirrored
-    label's pair is the exact negation of its partner's, in block N - k.
+    label's pair is the exact negation of its partner's, and reports the
+    partner's block k with `mirrored`, as the other block solvers do.
     """
     if q.j1 != q.j2:
         raise ValueError("solve_equal requires equal quantum numbers")
@@ -142,7 +143,7 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     found = _top_state_q(k, p) if abs(q.j1.twice) < p.n else None
     if found is None:
         log.debug("equal, J=%r: block k=%d has no real top state",
-                  float(q.j1), -k % p.n if mirrored else k)
+                  float(q.j1), k)
         raise NoRealSolution(
             f"counting function never attains {q.j1} at N={p.n}, "
             f"zeta={p.zeta} (complex pair in this regime)"
@@ -152,7 +153,7 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     l1, l2 = _real_rapidity(a + root, p.t), _real_rapidity(a - root, p.t)
     x, phi = 0.5 * (l1 + l2), 0.5 * (l2 - l1)
     if mirrored:
-        l1, l2, x, k, a = -l2, -l1, -x, p.n - k, -a
+        l1, l2, x, a = -l2, -l1, -x, -a
     log.debug("equal, J=%r: block k=%d, q=%r after %d steps",
               float(q.j1), k, root, steps)
     residual = bae_defect(l1, l2, p)
@@ -160,19 +161,22 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         raise ToleranceNotReached(
             f"defect {residual!r} above {defect_tol!r} for ({q.j1}, {q.j2})"
         )
+    meta = {
+        "method": "momentum_block",
+        "branch": "real",
+        "k": k,
+        "q": root,
+        "center": x,
+        "phi": phi,
+        "gamma": 2.0 * phi / p.zeta,
+    }
+    if mirrored:
+        meta["mirrored"] = True
     return RapidityPair(
         lambda1=complex(l1),
         lambda2=complex(l2),
         residual=residual,
         iterations=steps,
-        branch_meta={
-            "method": "momentum_block",
-            "branch": "real",
-            "k": k,
-            "q": root,
-            "center": x,
-            "phi": phi,
-            "gamma": 2.0 * phi / p.zeta,
-        },
+        branch_meta=meta,
         momenta=(a - root, a + root),
     )

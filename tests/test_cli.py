@@ -686,17 +686,70 @@ class TestEmit:
         assert cli._json_indent2(value) == _stdlib_indent2(value)
 
 
+# Every command but verify, at N = 8.
+_COMMANDS_BUT_VERIFY = [
+    "enumerate --n 8 --zeta 0.6",
+    "solve --n 8 --zeta 0.6 --j1 5/2 --j2 7/2",
+    "solve-all --n 8 --zeta 0.6",
+    "regime-map --n-range 8:8:2 --zeta-grid 0.1:1.0:4",
+    "xxx-trace --n 8 --j1 7/2 --j2 1/2 --zeta-schedule 0.3,0.1",
+]
+
+
+def _fresh_run(argvs):
+    """cli.main on each argv in one fresh interpreter that imported the
+    package and the CLI: the exit codes, and which of numpy, mpmath and
+    scipy the interpreter then holds."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import bethe_xxz, bethe_xxz.cli\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(bethe_xxz.cli.main(argv.split()))\n"
+        "loaded = {'numpy', 'mpmath', 'scipy'} & set(sys.modules)\n"
+        "print(json.dumps([codes, sorted(loaded)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_subprocess_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestImports:
-    def test_package_and_cli_load_only_numpy(self):
-        # mpmath and scipy are test tools or absent; the package must not
-        # pull them in, nor pay their import time.
-        code = (
-            "import sys, bethe_xxz, bethe_xxz.cli; "
-            "print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=_subprocess_env(), timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+    """Only the oracle imports numpy, and only verify imports the oracle."""
+
+    def test_package_and_commands_but_verify_load_no_numpy(self):
+        # mpmath and scipy are test tools or absent, and numpy serves only
+        # the exact-diagonalization oracle: the package must not pull them
+        # in, nor pay their import time.
+        assert _fresh_run([]) == [[], []]
+        codes, loaded = _fresh_run(_COMMANDS_BUT_VERIFY)
+        assert codes == [0] * len(_COMMANDS_BUT_VERIFY)
+        assert loaded == []
+
+    def test_verify_loads_numpy(self):
+        assert _fresh_run(["verify --n 8 --zeta 0.6"]) == [[0], ["numpy"]]
+
+    def test_every_export_resolves(self):
+        for name in bethe_xxz.__all__:
+            assert getattr(bethe_xxz, name) is not None, name
+        star = {}
+        exec("from bethe_xxz import *", star)
+        assert set(bethe_xxz.__all__) <= set(star)
+        assert set(bethe_xxz.__all__) <= set(dir(bethe_xxz))
+
+    def test_oracle_exports_are_the_oracle_names(self):
+        from bethe_xxz import oracle
+
+        for name in (
+            "SpectrumMatch", "bethe_vector", "build_hamiltonian",
+            "completeness_check",
+        ):
+            assert getattr(bethe_xxz, name) is getattr(oracle, name), name
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="'bethe_xxz'.*'no_such_name'"):
+            bethe_xxz.no_such_name

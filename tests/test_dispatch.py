@@ -44,10 +44,12 @@ class TestRouting:
         pairs = enumerate_all(p)
         kinds = set()
         for q, s in zip(pairs, solve_quantum_pairs(pairs, p)):
-            k, kind, _, _ = block_address(q, p)
+            k, kind, _, mirrored = block_address(q, p)
             kinds.add(kind)
             meta = s.branch_meta
             got = (meta["method"], meta.get("branch"))
+            if meta["method"] == "momentum_block":
+                assert meta.get("mirrored", False) is mirrored, q.key()
             if kind == "scattering":
                 if (q.j1.twice, q.j2.twice) == (1, n - 1):
                     assert got == ("boundary_limit", None), q.key()
@@ -56,6 +58,7 @@ class TestRouting:
                     assert meta["k"] == k, q.key()
             elif kind == "top":
                 assert got == ("momentum_block", "real"), q.key()
+                assert meta["k"] == k, q.key()
             elif kind == "bound":
                 branch = "narrow" if k % 2 else "wide"
                 assert got == ("momentum_block", branch), q.key()

@@ -126,6 +126,19 @@ class TestSymmetry:
         assert m.momenta == (-s.momenta[1], -s.momenta[0])
         assert all(isinstance(momentum, float) for momentum in m.momenta)
 
+    @pytest.mark.parametrize("n,zeta,tw", [(8, 0.6, 7), (12, 0.3, 11),
+                                           (22, 1e-3, 19)])
+    def test_mirror_reports_the_partner_block(self, n, zeta, tw):
+        # Like a mirrored scattering or bound state, the mirror reports its
+        # partner's block k with mirrored set.
+        p = ChainParams(n, zeta)
+        s = solve_equal(_pair(tw), p)
+        m = solve_equal(_pair(-tw), p)
+        assert m.branch_meta == dict(
+            s.branch_meta, center=-s.branch_meta["center"], mirrored=True
+        )
+        assert m.branch_meta["k"] == n - tw
+
 
 class TestCountingFunction:
     @pytest.mark.parametrize("n,zeta", [(8, 0.6), (12, 0.52)])
@@ -342,6 +355,18 @@ class TestSharedRootFinder:
         assert s.iterations > 0
         assert missed == "equal, J=2.5: block k=3 has no real top state"
         assert {r.name for r in caplog.records} == {"bethe_xxz.equal_solver"}
+
+    def test_debug_log_of_a_mirror_names_the_partner_block(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
+            s = solve_equal(_pair(-7), P86)
+            with pytest.raises(NoRealSolution):
+                solve_equal(_pair(-5), P86)
+        found, missed = [r.getMessage() for r in caplog.records]
+        assert found == (
+            f"equal, J=-3.5: block k=1, q={s.branch_meta['q']!r} "
+            f"after {s.iterations} steps"
+        )
+        assert missed == "equal, J=-2.5: block k=3 has no real top state"
 
 
 def _real_equal_labels(p):

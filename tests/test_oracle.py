@@ -198,7 +198,8 @@ def _reference_momenta(pair, p):
     momenta pi k / N -+ q, each taken by the rapidity whose momentum it
     equals mod 2 pi (negated if mirrored).  Otherwise a = pi k / N is
     shifted by pi where needed for cos a >= 0: a bound state has momenta
-    a -+ i v, an equal-label real pair a -+ q.  S = e^{i N p2}.  Other
+    a -+ i v (negated if mirrored), an equal-label real pair a -+ q
+    (negated and swapped if mirrored).  S = e^{i N p2}.  Other
     pairs take their momenta from lambda and S from the two-body
     scattering amplitude.
     """
@@ -219,11 +220,15 @@ def _reference_momenta(pair, p):
             a -= math.pi
         if "q" in meta:
             p1, p2 = complex(a - meta["q"]), complex(a + meta["q"])
+            if meta.get("mirrored"):
+                # A mirrored equal-label pair's rapidities are negated and
+                # swapped, and so are its momenta.
+                p1, p2 = -p2, -p1
         else:
             p2 = complex(a, meta["v"])
             p1 = p2.conjugate()
-        if meta.get("mirrored"):
-            p1, p2 = -p1, -p2
+            if meta.get("mirrored"):
+                p1, p2 = -p1, -p2
         return p1, p2, 1j * p.n * p2
     p1, p2 = _lambda_momenta(pair, p)
     e1, e2 = cmath.exp(1j * p1), cmath.exp(1j * p2)
