@@ -3,18 +3,20 @@ periodic anisotropic spin-1/2 chain in its gapped regime.
 
 Public surface: parameter/label types, the regime classifier and pair
 enumeration with each label's block address, the three momentum-block
-solvers (distinct real, equal real, complex string), the dispatcher, the
-reduced-rapidity divergence tracer, and the exact-diagonalization
-completeness oracle.
+solvers (distinct real, equal real, complex string), the paper's label
+checks (the height function and the counting functions W and Z1, in
+counting), the dispatcher, the reduced-rapidity divergence tracer, and
+the exact-diagonalization completeness oracle.
 
 The oracle is the only module that imports numpy.  Its four names here
 (SpectrumMatch, bethe_vector, build_hamiltonian, completeness_check) load
 it on first use, so importing the package, and every command but
 `verify`, leaves numpy unimported.
 """
+from .counting import counting_w, height, tan2x_of_phi, tan2x_of_w, z1
 from .dispatch import solve_quantum_pair
-from .equal_solver import counting_w, solve_equal, tan2x_of_phi
-from .height_solver import height, solve_pair
+from .equal_solver import solve_equal
+from .height_solver import solve_pair
 from .model import (
     BetheError,
     ChainParams,
@@ -37,8 +39,6 @@ from .string_solver import (
     singular_solution,
     solve_boundary_string,
     solve_complex,
-    tan2x_of_w,
-    z1,
 )
 from .xxx_limit import DivergenceTrace, trace_divergence
 

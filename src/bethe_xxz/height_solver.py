@@ -16,170 +16,30 @@ steps, started on the side of the bracket from which it cannot overshoot
 (F is convex for C >= 0 and concave for C < 0), with bisection on the
 bracket as the safeguard.  tan(lambda) = tanh(zeta/2) cot(p/2) gives the
 rapidities, and Newton steps on the logarithmic equations polish them.
-Mirrored labels are solved as (-J1, -J2) and negated.
-
-The paper's height function stays as the label check: on the contour of
-the larger label jc, between consecutive discontinuity points, height(mu1)
-equals the other label at a solution, with mu1 the rapidity of jc.
+Mirrored labels are solved as (-J1, -J2) and negated.  The paper's
+height function, the label check of these pairs, is in counting.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
-from .equal_solver import _real_rapidity
 from .model import (
-    AtDiscontinuity,
     ChainParams,
-    HalfInt,
     NoRootInBracket,
-    NoRootInInterval,
     QuantumPair,
     RapidityPair,
     ToleranceNotReached,
     attempt,
     bae_defect,
-    bisect_monotone,
     newton_monotone,
+    real_rapidity,
 )
 from .quantum_numbers import block_address
 
-DISCONTINUITY_TOL = 1e-13
 DEFAULT_DEFECT_TOL = 1e-10
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ContourBracket:
-    """One contour of the height function: (k_left, k_right) around j1.
-
-    lambda_star is the interior point where mu2 - mu1 crosses -pi/2 and the
-    floor term of the first equation flips.
-    """
-
-    j1: HalfInt
-    k_left: float
-    k_right: float
-    lambda_star: float
-
-
-def lambda_star(j1: HalfInt, p: ChainParams):
-    """Right endpoint of the first-domain window for j1."""
-    half_turns = (float(j1) + 0.5) / p.n  # (j1 + 1/2)/N, a fraction of pi
-    if half_turns >= 0.5:
-        return math.pi / 2.0
-    return math.atan(p.t * math.tan(math.pi * half_turns))
-
-
-def _contour_maps(j1: HalfInt, p: ChainParams):
-    """mu2(mu1) and height(mu1) on the contour of j1.
-
-    The constants are bound once, so a bisection pays for one tan(mu1) and
-    no attribute lookups per step.  The closed form for mu2 is label-free;
-    j1 only identifies the contour mu1 is expected to lie on (kept for error
-    context).
-    """
-    n, t, th = p.n, p.t, math.tanh(p.zeta)
-    pi, two_pi = math.pi, 2.0 * math.pi
-    n_over_pi, inv_pi = n / math.pi, 1.0 / math.pi
-    tan, atan, floor = math.tan, math.atan, math.floor
-
-    def mu2_of(mu1):
-        a = tan(mu1)
-        # tanh(zeta) / tan(N atan(tan(mu1)/t)), the recurring building block.
-        b = th / tan(n * atan(a / t))
-        if abs(b) <= 1.0:
-            den = a * b - 1.0
-            if abs(den) < DISCONTINUITY_TOL:
-                raise AtDiscontinuity(
-                    f"mu1={mu1!r} sits at a discontinuity of the contour "
-                    f"of {j1}"
-                )
-            return atan(-(b + a) / den)
-        # Rescale by 1/b to keep the evaluation stable when the inner tangent
-        # is close to zero (b large) near the domain-window endpoints.
-        inv = 1.0 / b
-        den = a - inv
-        if abs(den * b) < DISCONTINUITY_TOL:
-            raise AtDiscontinuity(
-                f"mu1={mu1!r} sits at a discontinuity of the contour of {j1}"
-            )
-        return atan(-(1.0 + a * inv) / den)
-
-    def height_of(mu1):
-        mu2 = mu2_of(mu1)
-        diff = mu2 - mu1
-        return (
-            n_over_pi * atan(tan(mu2) / t)
-            - inv_pi * atan(tan(diff) / th)
-            - floor((2.0 * diff + pi) / two_pi)
-        )
-
-    return mu2_of, height_of
-
-
-def discontinuity_k(j1: HalfInt, p: ChainParams):
-    """Discontinuity abscissa for j1: the root of tan(mu1) * ratio = 1.
-
-    Parameterized through theta = N atan(tan(mu1)/t) - pi (j1 - 1/2), which
-    maps the window ((j1-1/2) pi/N, (j1+1/2) pi/N) of the inner angle onto
-    (0, pi); the sign change always lies in (0, pi/2).
-    """
-    base = math.pi * (float(j1) - 0.5)
-    t = p.t
-    th = math.tanh(p.zeta)
-
-    def mu_of(theta):
-        return math.atan(t * math.tan((base + theta) / p.n))
-
-    def g(theta):
-        # tan(base + theta) == tan(theta) since base is an integer multiple
-        # of pi for half-odd j1.
-        return math.tan(mu_of(theta)) * th / math.tan(theta) - 1.0
-
-    if float(j1) == 0.5:
-        # In the lowest window tan(mu1) vanishes together with tan(theta),
-        # so the ratio stays below 1 everywhere: no discontinuity exists and
-        # the lowest contour starts at mu1 = 0 instead.
-        raise NoRootInInterval(
-            f"the contour of j1={j1} has no left discontinuity (starts at 0)"
-        )
-    lo, hi = 1e-12, math.pi / 2.0 - 1e-12
-    f_lo, f_hi = g(lo), g(hi)
-    if not f_lo > 0.0 > f_hi:
-        raise NoRootInInterval(
-            f"no discontinuity bracket for j1={j1} at N={p.n}, zeta={p.zeta}"
-        )
-    theta, steps = bisect_monotone(g, lo, hi, f_lo=f_lo, f_hi=f_hi, xtol=0.0)
-    k = mu_of(theta)
-    log.debug(
-        "contour edge j1=%s N=%d zeta=%r: k=%r after %d bisection steps",
-        j1, p.n, p.zeta, k, steps,
-    )
-    return k
-
-
-def contour_bracket(j1: HalfInt, p: ChainParams):
-    """Contour of j1: between adjacent discontinuity points.
-
-    The lowest contour (j1 = 1/2) starts at 0 and the highest
-    (j1 = (N-1)/2) ends at pi/2; neither endpoint is a discontinuity.
-    """
-    k_left = 0.0 if float(j1) == 0.5 else discontinuity_k(j1, p)
-    if float(j1) + 1.0 > (p.n - 1) / 2.0:
-        k_right = math.pi / 2.0
-    else:
-        k_right = discontinuity_k(j1 + 1, p)
-    return ContourBracket(
-        j1=j1, k_left=k_left, k_right=k_right, lambda_star=lambda_star(j1, p)
-    )
-
-
-def height(mu1, j1: HalfInt, p: ChainParams):
-    """Height function: equals j2 exactly when (mu1, mu2) solves both equations."""
-    return _contour_maps(j1, p)[1](mu1)
 
 
 def _polish_log_form(l1, l2, j1, j2, p: ChainParams):
@@ -298,8 +158,8 @@ def _lane(k, m, labels, p: ChainParams):
     # The larger rapidity belongs to the larger label; each keeps its
     # momentum.
     p1, p2 = a - q, a + q
-    l1 = _reduced(_real_rapidity(p1, p.t))
-    l2 = _reduced(_real_rapidity(p2, p.t))
+    l1 = _reduced(real_rapidity(p1, p.t))
+    l2 = _reduced(real_rapidity(p2, p.t))
     if l1 > l2:
         l1, l2, p1, p2 = l2, l1, p2, p1
     residual = bae_defect(l1, l2, p)

@@ -1,7 +1,8 @@
 """Core domain types and shared evaluations for the two down-spin sector.
 
-Everything here is an immutable value or a pure function; the solver modules
-build on these primitives.
+Everything here is an immutable value or a pure function, the rapidity
+maps of the momentum-block frame included; the solver modules and the
+oracle build on these primitives.
 """
 from __future__ import annotations
 
@@ -321,6 +322,38 @@ def magnon_energy(lambda1, lambda2, p):
         phase = num / den
         total += 0.5 * (phase + 1.0 / phase)
     return total.real - 2.0 * p.delta
+
+
+# The momentum-block frame (Karbach & Mueller, arXiv:cond-mat/9809162).
+def real_rapidity(momentum, t):
+    """The lambda of momentum p, with tan(lambda) = t cot(p/2).
+
+    Continued through p = 0: it falls from pi to 0 as p rises from -pi to pi.
+    """
+    half = 0.5 * momentum
+    return math.atan2(t * math.cos(half), math.sin(half))
+
+
+def block_momentum(k, n):
+    """Real part a of block k's bound-state momenta: K/2 folded so cos a >= 0."""
+    return math.pi * k / n if 2 * k <= n else -math.pi * (n - k) / n
+
+
+def log_delta(zeta):
+    """(log Delta, zeta - log Delta), with neither cancelling nor overflowing."""
+    if zeta < 1.0:
+        value = math.log1p(2.0 * math.sinh(0.5 * zeta) ** 2)
+        return value, zeta - value
+    gap = math.log(2.0) - math.log1p(math.exp(-2.0 * zeta))
+    return zeta - gap, gap
+
+
+def log_link(k, n):
+    """log c for c = |cos(pi k / N)|, accurate also for c near 1 or near 0."""
+    m = min(k, n - k)
+    if 4 * m <= n:
+        return math.log1p(-2.0 * math.sin(0.5 * math.pi * m / n) ** 2)
+    return math.log(math.sin(0.5 * math.pi * (n - 2 * m) / n))
 
 
 def attempt(solve, *args, **kwargs):

@@ -10,8 +10,8 @@ vector is its N/2 - (k mod 2) amplitudes in block k; its Rayleigh
 quotient and eigen-residual come from that block's tridiagonal operator,
 in O(N).  Any other pair is assembled over the full sector, where H v is
 an O(dim) neighbour stencil.  Matching the full multiset of energies
-against the exact spectrum is the completeness check.  No dense matrix is
-formed unless `SectorHamiltonian.matrix` is read.
+against the exact spectrum, from block vectors only, is the completeness
+check.  No dense matrix is formed unless `SectorHamiltonian.matrix` is read.
 """
 from __future__ import annotations
 
@@ -33,9 +33,10 @@ from .model import (
     RapidityPair,
     SolutionClass,
     ZeroVector,
+    block_momentum,
+    magnon_energy,
 )
 from .quantum_numbers import enumerate_all
-from .string_solver import _block_momentum
 
 NORM_TOL = 1e-10
 ENERGY_RTOL = 1e-6
@@ -46,8 +47,8 @@ SINGULAR_EPS = 1e-6
 # A pair is a Bloch state of block k when its total momentum K lies within
 # this many block spacings 2 pi / N of 2 pi k / N.  Solved pairs sit at
 # rounding (at most 5.7e-14 spacings over even N 4-200 and zeta 1e-3 to
-# 300); the regularized singular pair, the one vector per sector that must
-# be assembled over the full sector, sits 1.3e-6 to 6.4e-2 spacings off.
+# 300); the regularized singular pair, which bethe_vector assembles over
+# the full sector, sits 1.3e-6 to 6.4e-2 spacings off.
 BLOCK_TOL = 1e-9
 
 log = logging.getLogger(__name__)
@@ -307,7 +308,7 @@ def _block_amplitudes(p1, p2, log_s, k, n):
     at r = N/2 for even k: r and N - r carry the same state, and r = N/2
     only once.  Returned without the common factor sqrt(N).
     """
-    a = _block_momentum(k, n)
+    a = block_momentum(k, n)
     # |e^{i p r}| is monotonic in r, so each wave peaks at r = 1 or N - 1.
     shift = max(
         max(-p2.imag, -p2.imag * (n - 1)),
@@ -412,9 +413,9 @@ def singular_vector(ham: SectorHamiltonian):
     N/2 (c = 0) at r = 1, an exact eigenvector at energy -Delta for every
     even N, with norm sqrt(N) over the sector.  Used for the eigen-residual
     check: the regularized coordinate assembly spans a dynamic range of
-    eps^-(N-2) and cannot reach small residuals in double precision,
-    although its Rayleigh energy does converge and is cross-checked against
-    this vector's.
+    eps^-(N-2) and cannot reach small residuals in double precision.  The
+    regularized pair's energy, from its rapidities, is cross-checked
+    against this vector's.
     """
     k = ham.n // 2
     amplitudes = np.zeros(k - k % 2, dtype=complex)
@@ -445,7 +446,6 @@ def completeness_check(p: ChainParams):
     unsolved = []
     failures = []
     unavailable = []
-    vector_blocks = []  # k of every vector built, None for the sector
     pairs = enumerate_all(p)
     for q, rap in zip(pairs, solve_quantum_pairs(pairs, p)):
         if isinstance(rap, BetheError):
@@ -455,27 +455,23 @@ def completeness_check(p: ChainParams):
             if q.cls is SolutionClass.SINGULAR:
                 vec = singular_vector(ham)
                 energy, residual = rayleigh_energy(vec, ham)
-                # Cross-check: the regularized coordinate assembly must agree
-                # on the energy even though its eigen-residual is
-                # uninformative.  At huge zeta its displaced rapidity
-                # overflows the momentum and the assembly is not finite:
-                # there is nothing to compare.
-                try:
-                    reg_vec = bethe_vector(regularized_singular_pair(p), p)
-                except ZeroVector as exc:
+                # Cross-check the regularized pair's energy.  At huge zeta
+                # its displaced rapidity overflows and the energy is not
+                # finite: there is nothing to compare.
+                reg = regularized_singular_pair(p)
+                reg_energy = magnon_energy(reg.lambda1, reg.lambda2, p)
+                if not math.isfinite(reg_energy):
                     unavailable.append(
-                        f"regularized singular cross-check unavailable: {exc}"
+                        "regularized singular cross-check unavailable: "
+                        f"energy {reg_energy!r} is not finite"
                     )
-                else:
-                    vector_blocks.append(reg_vec.k)
-                    reg_energy, _ = rayleigh_energy(reg_vec, ham)
-                    if not abs(reg_energy - energy) <= SINGULAR_ENERGY_RTOL * (
-                        max(1.0, abs(energy))
-                    ):
-                        failures.append(
-                            f"regularized singular energy {reg_energy!r} "
-                            f"disagrees with {energy!r}"
-                        )
+                elif not abs(reg_energy - energy) <= SINGULAR_ENERGY_RTOL * (
+                    max(1.0, abs(energy))
+                ):
+                    failures.append(
+                        f"regularized singular energy {reg_energy!r} "
+                        f"disagrees with {energy!r}"
+                    )
             else:
                 vec = bethe_vector(rap, p)
                 energy, residual = rayleigh_energy(vec, ham)
@@ -483,11 +479,8 @@ def completeness_check(p: ChainParams):
             unsolved.append((q, exc))
             continue
         solved.append((q, rap, energy, residual))
-        vector_blocks.append(vec.k)
-    full = vector_blocks.count(None)
     log.debug(
-        "verify N=%d zeta=%r: %d block vectors, %d full-space vectors",
-        p.n, p.zeta, len(vector_blocks) - full, full,
+        "verify N=%d zeta=%r: %d block vectors", p.n, p.zeta, len(solved)
     )
     if unsolved:
         failures.append(

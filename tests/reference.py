@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from bethe_xxz.equal_solver import DENOMINATOR_TOL, _phase_parts
-from bethe_xxz.height_solver import _contour_maps
+from bethe_xxz.counting import DENOMINATOR_TOL, _contour_maps, _phase_parts
 from bethe_xxz.model import (
     ChainParams,
     DenominatorVanishes,

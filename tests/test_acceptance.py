@@ -11,13 +11,16 @@ import time
 import pytest
 
 from bethe_xxz.cli import main as cli_main
-from bethe_xxz.equal_solver import counting_w, solve_equal, tan2x_of_phi
-from bethe_xxz.height_solver import (
+from bethe_xxz.counting import (
     contour_bracket,
+    counting_w,
     height,
     lambda_star,
-    solve_pair,
+    tan2x_of_phi,
+    z1,
 )
+from bethe_xxz.equal_solver import solve_equal
+from bethe_xxz.height_solver import solve_pair
 from bethe_xxz.model import (
     BoundaryDegenerate,
     ChainParams,
@@ -36,7 +39,7 @@ from bethe_xxz.quantum_numbers import (
     regime_label_from_report,
     threshold_value,
 )
-from bethe_xxz.string_solver import solve_complex, z1
+from bethe_xxz.string_solver import solve_complex
 from bethe_xxz.xxx_limit import trace_divergence
 from reference import NARROW, WIDE, diff_p, tan2x_limit
 

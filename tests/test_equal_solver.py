@@ -6,13 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bethe_xxz import equal_solver
-from bethe_xxz.equal_solver import (
-    DEFAULT_DEFECT_TOL,
-    counting_w,
-    solve_equal,
-    tan2x_of_phi,
-)
+from bethe_xxz import counting
+from bethe_xxz.counting import counting_w, tan2x_of_phi
+from bethe_xxz.equal_solver import DEFAULT_DEFECT_TOL, solve_equal
 from bethe_xxz.model import (
     BetheError,
     BoundaryDegenerate,
@@ -215,7 +211,7 @@ def _reference_scan_brackets(target, p, sign_x):
     ratio = (phi_max / PHI_MIN) ** (1.0 / (GRID_POINTS - 1))
 
     def g(phi):
-        return equal_solver.counting_w(phi, p, sign_x) - target
+        return counting.counting_w(phi, p, sign_x) - target
 
     prev_phi = prev_val = None
     phi = PHI_MIN
@@ -247,13 +243,13 @@ def _reference_solve_equal(q, p, defect_tol=1e-10):
     phi = iterations = None
     for bracket in _reference_scan_brackets(target, p, 1):
         cand, iters = bisect_monotone(
-            lambda f: equal_solver.counting_w(f, p, 1) - target,
+            lambda f: counting.counting_w(f, p, 1) - target,
             bracket[0],
             bracket[1],
             xtol=1e-15,
             max_iter=200,
         )
-        if abs(equal_solver.counting_w(cand, p, 1) - target) < 1e-8:
+        if abs(counting.counting_w(cand, p, 1) - target) < 1e-8:
             phi, iterations = cand, iters
             break
     if phi is None:
@@ -328,7 +324,7 @@ class TestSharedRootFinder:
         for zeta in (1e-3, 0.01, 0.1, 0.5):
             p = ChainParams(n, zeta)
             monkeypatch.setattr(
-                equal_solver, "counting_w", _memoized_counting_w(p)
+                counting, "counting_w", _memoized_counting_w(p)
             )
             for q in enumerate_all(p):
                 if q.j1 != q.j2:

@@ -12,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethe_xxz import height_solver
-from bethe_xxz.dispatch import solve_quantum_pair, solve_quantum_pairs
-from bethe_xxz.height_solver import (
-    DEFAULT_DEFECT_TOL,
+from bethe_xxz.counting import (
     DISCONTINUITY_TOL,
     ContourBracket,
-    _polish_log_form,
-    _scattering_root,
     contour_bracket,
     discontinuity_k,
     height,
     lambda_star,
+)
+from bethe_xxz.dispatch import solve_quantum_pair, solve_quantum_pairs
+from bethe_xxz.height_solver import (
+    DEFAULT_DEFECT_TOL,
+    _polish_log_form,
+    _scattering_root,
     solve_pair,
     solve_pairs,
 )
@@ -544,13 +546,13 @@ class TestMemoizedContours:
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz"):
             k = discontinuity_k(HalfInt(3), P86)
         (record,) = caplog.records
-        assert record.name == "bethe_xxz.height_solver"
+        assert record.name == "bethe_xxz.counting"
         message = record.getMessage()
         assert message.startswith(f"contour edge j1=3/2 N=8 zeta=0.6: k={k!r}")
         assert message.endswith("bisection steps")
 
     def test_sector_solve_bisects_no_edge(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.height_solver"):
+        with caplog.at_level(logging.DEBUG, logger="bethe_xxz.counting"):
             _sector(ChainParams(16, 0.3))
         assert not [
             r for r in caplog.records if "contour edge" in r.getMessage()

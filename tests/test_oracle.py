@@ -689,15 +689,28 @@ class TestCompleteness:
         assert note.startswith("regularized singular cross-check unavailable")
         assert len(match.entries) == 28
 
-    def test_debug_line_counts_block_and_full_space_vectors(self, caplog):
-        # 27 solved pairs and the singular vector in their blocks; the
-        # regularized singular cross-check over the full sector.
+    def test_regularized_energy_off_fails(self, monkeypatch):
+        # A displacement of 0.1 zeta puts the regularized energy 1.0e-2
+        # above -Delta (8.8e-3 relative), far outside SINGULAR_ENERGY_RTOL;
+        # every state still matches, so only the cross-check fails.
+        monkeypatch.setattr(oracle, "SINGULAR_EPS", 0.1)
+        reg = regularized_singular_pair(P86)
+        reg_energy = magnon_energy(reg.lambda1, reg.lambda2, P86)
+        assert reg_energy + P86.delta == pytest.approx(1.04e-2, rel=0.01)
+        with pytest.raises(IncompleteSpectrum) as info:
+            completeness_check(P86)
+        assert str(info.value).startswith(
+            f"regularized singular energy {reg_energy!r} disagrees with "
+        )
+        assert len(info.value.match.entries) == 28
+
+    def test_debug_line_counts_block_vectors(self, caplog):
+        # 27 solved pairs and the singular vector, each in its block; the
+        # regularized singular cross-check builds no vector.
         with caplog.at_level(logging.DEBUG, logger="bethe_xxz.oracle"):
             completeness_check(P86)
         lines = [
             r.getMessage() for r in caplog.records
             if r.name == "bethe_xxz.oracle"
         ]
-        assert lines == [
-            "verify N=8 zeta=0.6: 28 block vectors, 1 full-space vectors"
-        ]
+        assert lines == ["verify N=8 zeta=0.6: 28 block vectors"]

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bethe_xxz.counting import delta_of_w, tan2x_of_w, z1
 from bethe_xxz.dispatch import is_boundary_family_pair, solve_quantum_pair
 from bethe_xxz.model import (
     ChainParams,
@@ -27,12 +28,9 @@ from bethe_xxz.quantum_numbers import (
     threshold_f,
 )
 from bethe_xxz.string_solver import (
-    delta_of_w,
     singular_solution,
     solve_boundary_string,
     solve_complex,
-    tan2x_of_w,
-    z1,
 )
 from reference import (
     BRANCH_OF_CLASS,
@@ -189,7 +187,7 @@ def _reference_solve_on_branch(target_j, branch, p):
     """The scalar scan-and-bisect loop on one branch; w, or None."""
 
     def shifted(w):
-        return p.n * string_solver.z1(w, p) - target_j
+        return p.n * z1(w, p) - target_j
 
     lo, hi, ratio = _reference_bounds(branch, p)
     prev_w = prev_val = None
