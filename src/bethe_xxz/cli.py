@@ -1,10 +1,11 @@
 """Command-line surface: enumerate, solve, verify, regime maps, traces.
 
-Every command emits machine-readable JSON ({params, records, summary}) or
-CSV with a fixed column order and 17-significant-digit floats, so repeated
-runs are byte-identical.  Exit codes: 0 ok, 2 usage, 3 degenerate regime
-boundary, 4 partial solve failure, 5 incomplete spectrum; main maps the
-exceptions of every command to them.
+Every command emits machine-readable JSON ({params, records, summary}, the
+bytes of json.dumps with indent=2) or CSV with a fixed column order and
+17-significant-digit floats, so repeated runs are byte-identical.  Exit
+codes: 0 ok, 2 usage, 3 degenerate regime boundary, 4 partial solve
+failure, 5 incomplete spectrum; main maps the exceptions of every command
+to them.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .model import (
     HalfInt,
     IncompleteSpectrum,
     QuantumPair,
+    RapidityPair,
     SolutionClass,
     attempt,
     magnon_energy,
@@ -113,6 +115,11 @@ def _emit(payload, columns, args):
         for record in payload["records"]:
             writer.writerow({k: _fmt(record.get(k, "")) for k in columns})
         text = buf.getvalue()
+    _write(text, args)
+
+
+def _write(text, args):
+    """Write text to --output, or to stdout when none is given."""
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -184,16 +191,89 @@ def _solution_record(q: QuantumPair, p: ChainParams, sol):
     return record
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _solution_json(q: QuantumPair, p: ChainParams, sol, head):
+    """The JSON text of one record, as json.dumps(indent=2) writes it as a
+    member of the payload's record list; `head` is the sector's text of
+    the record up to the value of j1.
+
+    A solved pair with six finite floats and a non-empty dict of scalars
+    for branch_meta fills a fixed template: labels and class are plain
+    text, floats are their repr (which json writes for finite floats), and
+    branch_meta goes through the member encoder of its level.  Any other
+    record (an error, the singular pair's empty defect, a NaN or infinity,
+    empty or nested metadata) is written from its _solution_record.
+    """
+    if isinstance(sol, RapidityPair):
+        meta = sol.branch_meta
+        l1, l2 = sol.lambda1, sol.lambda2
+        floats = (
+            l1.real, l1.imag, l2.real, l2.imag, sol.residual,
+            magnon_energy(l1, l2, p),
+        )
+        if (
+            set(map(type, floats)) == {float}
+            # A sum of floats is finite only if each one is; one that
+            # overflows sends the record down the general path.
+            and math.isfinite(sum(floats))
+            and isinstance(meta, dict)
+            and meta
+            and _SCALAR_TYPES.issuperset(map(type, meta.values()))
+        ):
+            re1, im1, re2, im2, defect, energy = floats
+            members = _member_encoder(4).encode(meta)[1:-1]
+            return (
+                f'{head}{q.j1}",\n      "j2": "{q.j2}",\n'
+                f'      "class": "{q.cls.value}",\n      "status": "ok",\n'
+                f'      "lambda1_re": {re1!r},\n      "lambda1_im": {im1!r},\n'
+                f'      "lambda2_re": {re2!r},\n      "lambda2_im": {im2!r},\n'
+                f'      "defect": {defect!r},\n      "energy": {energy!r},\n'
+                f'      "solver_branch_meta": {{\n        {members}\n      }}\n'
+                f"    }}"
+            )
+    return _json_indent2(_solution_record(q, p, sol), 2)
+
+
+def _solutions_json(p: ChainParams, pairs, outcomes, summary):
+    """json.dumps({params, records, summary}, indent=2) plus a newline,
+    with each record written in one pass from its pair and outcome."""
+    head = (
+        f'{{\n      "n": {json.dumps(p.n)},\n'
+        f'      "zeta": {json.dumps(p.zeta)},\n      "j1": "'
+    )
+    records = [
+        _solution_json(q, p, sol, head) for q, sol in zip(pairs, outcomes)
+    ]
+    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return (
+        f'{{\n  "params": {_json_indent2(_params_dict(p), 1)},\n'
+        f'  "records": {body},\n'
+        f'  "summary": {_json_indent2(summary, 1)}\n}}\n'
+    )
+
+
 def _emit_solutions(p, pairs, outcomes, args):
     """Emit one record per pair and outcome; return the failed labels."""
-    records = [_solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)]
-    failed = [f"({r['j1']},{r['j2']})" for r in records if r["status"] != "ok"]
-    payload = {
-        "params": _params_dict(p),
-        "records": records,
-        "summary": {"count": len(records), "failed": len(failed)},
-    }
-    _emit(payload, SOLUTION_COLUMNS, args)
+    failed = [
+        f"({q.j1},{q.j2})"
+        for q, sol in zip(pairs, outcomes)
+        if isinstance(sol, BetheError)
+    ]
+    summary = {"count": len(outcomes), "failed": len(failed)}
+    if args.format == "json":
+        _write(_solutions_json(p, pairs, outcomes, summary), args)
+    else:
+        records = [
+            _solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)
+        ]
+        payload = {
+            "params": _params_dict(p),
+            "records": records,
+            "summary": summary,
+        }
+        _emit(payload, SOLUTION_COLUMNS, args)
     return failed
 
 

@@ -72,6 +72,10 @@ class ZeroVector(BetheError):
     """A wavefunction assembly gave a numerically null or non-finite vector."""
 
 
+class OutsideSqueeze(BetheError):
+    """A traced family rapidity lies outside its small-anisotropy window."""
+
+
 class IncompleteSpectrum(BetheError):
     """Spectrum matching left unmatched eigenvalues or oversize residuals."""
 

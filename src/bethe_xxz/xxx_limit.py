@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 from .equal_solver import solve_equal
 from .height_solver import solve_pair
-from .model import BetheError, ChainParams, QuantumPair, SolutionClass
+from .model import (
+    BetheError,
+    ChainParams,
+    OutsideSqueeze,
+    QuantumPair,
+    SolutionClass,
+)
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,15 @@ def trace_divergence(q: QuantumPair, p0: ChainParams, zeta_schedule):
         lam1, lam2 = sorted(
             (sol.lambda1.real, sol.lambda2.real), key=abs, reverse=True
         )
+        # Below about zeta = 1e-7 the squeezed lambda1 can round to +-pi/2;
+        # the window stays half-open, so that sample is refused.
         if zeta <= bound:
             if positive and not (math.pi / 4.0 <= lam1 < math.pi / 2.0):
-                raise AssertionError(
+                raise OutsideSqueeze(
                     f"lambda1={lam1!r} outside [pi/4, pi/2) at zeta={zeta!r}"
                 )
             if not positive and not (-math.pi / 2.0 < lam1 <= -math.pi / 4.0):
-                raise AssertionError(
+                raise OutsideSqueeze(
                     f"lambda1={lam1!r} outside (-pi/2, -pi/4] at zeta={zeta!r}"
                 )
         samples.append(

@@ -11,7 +11,14 @@ import pytest
 import bethe_xxz
 from bethe_xxz import cli, quantum_numbers
 from bethe_xxz.cli import main
-from bethe_xxz.model import ChainParams, HalfInt, SolutionClass
+from bethe_xxz.model import (
+    ChainParams,
+    HalfInt,
+    NoRootOnBranch,
+    QuantumPair,
+    RapidityPair,
+    SolutionClass,
+)
 from bethe_xxz.quantum_numbers import enumerate_all, threshold_value
 
 
@@ -482,6 +489,19 @@ EXIT_CASES = {
          "--zeta-schedule", "2.0"], 4,
         "error: counting function never attains 11/2",
     ),
+    # lambda1 rounds to -pi/2, outside the family's half-open window.
+    "trace-outside-squeeze": (
+        ["xxx-trace", "--n", "8", "--j1=-7/2", "--j2=-3/2",
+         "--zeta-schedule", "1e-6,1e-7,1e-8"], 4,
+        "error: lambda1=-1.5707963267948966 outside (-pi/2, -pi/4] "
+        "at zeta=1e-08",
+    ),
+    "trace-outside-squeeze-n200": (
+        ["xxx-trace", "--n", "200", "--j1=-199/2", "--j2=-51/2",
+         "--zeta-schedule", "1e-7"], 4,
+        "error: lambda1=-1.5707963267948966 outside (-pi/2, -pi/4] "
+        "at zeta=1e-07",
+    ),
 }
 
 
@@ -655,18 +675,176 @@ EMIT_COMMANDS = [
      "--zeta-schedule", "0.3,0.1,0.03"],
 ]
 
+# solve and solve-all runs with error records: (argv, the pairs that
+# fail_complex makes fail, or None).
+ERROR_COMMANDS = {
+    "solve-all-tol-0": (
+        ["solve-all", "--n", "8", "--zeta", "0.6", "--tol-defect", "0"], None
+    ),
+    "solve-tol-0": (
+        ["solve", "--n", "8", "--zeta", "0.6", "--j1", "3/2", "--j2", "5/2",
+         "--tol-defect", "0"], None,
+    ),
+    "solve-all-forced": (
+        ["solve-all", "--n", "16", "--zeta", "0.6"], _nine_halves
+    ),
+    "solve-forced": (
+        ["solve", "--n", "16", "--zeta", "0.6", "--j1", "9/2", "--j2", "9/2"],
+        _nine_halves,
+    ),
+}
+
 
 def _stdlib_indent2(value):
     return json.dumps(value, indent=2)
+
+
+def _stdlib_payload(p, pairs, outcomes):
+    """The solve payload built record by record, as dicts."""
+    records = [
+        cli._solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)
+    ]
+    failed = [f"({r['j1']},{r['j2']})" for r in records if r["status"] != "ok"]
+    payload = {
+        "params": {"n": p.n, "zeta": p.zeta},
+        "records": records,
+        "summary": {"count": len(records), "failed": len(failed)},
+    }
+    return payload, failed
+
+
+def _stdlib_emit_solutions(p, pairs, outcomes, args):
+    """_emit_solutions from the record dicts; with _json_indent2 patched to
+    _stdlib_indent2, its JSON is the bytes of json.dumps(payload, indent=2)."""
+    payload, failed = _stdlib_payload(p, pairs, outcomes)
+    cli._emit(payload, cli.SOLUTION_COLUMNS, args)
+    return failed
+
+
+def _same_as_stdlib(capsys, monkeypatch, argv):
+    """Run argv, then again with the stdlib writers; the results match."""
+    first = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_json_indent2", _stdlib_indent2)
+    monkeypatch.setattr(cli, "_emit_solutions", _stdlib_emit_solutions)
+    assert run(capsys, *argv) == first
+    return first
+
+
+def _records_json(p, outcomes):
+    """_solutions_json of outcomes, each for the pair (1/2, 3/2), and the
+    stdlib bytes of the same payload."""
+    q = QuantumPair(HalfInt(1), HalfInt(3), SolutionClass.STANDARD_REAL)
+    pairs = [q] * len(outcomes)
+    payload, _ = _stdlib_payload(p, pairs, outcomes)
+    text = cli._solutions_json(p, pairs, outcomes, payload["summary"])
+    return text, json.dumps(payload, indent=2) + "\n"
+
+
+def _solved(lambda1=0.25 + 0j, lambda2=0.75 + 0j, residual=1e-15, meta=None):
+    meta = {"method": "momentum_block", "k": 2} if meta is None else meta
+    return RapidityPair(lambda1, lambda2, residual, 0, meta)
 
 
 class TestEmit:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", EMIT_COMMANDS, ids=lambda a: a[0])
     def test_same_bytes_as_stdlib_indent(self, capsys, monkeypatch, argv, fmt):
-        code, out, err = run(capsys, *argv, "--format", fmt)
-        monkeypatch.setattr(cli, "_json_indent2", _stdlib_indent2)
-        assert run(capsys, *argv, "--format", fmt) == (code, out, err)
+        _same_as_stdlib(capsys, monkeypatch, [*argv, "--format", fmt])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case", ERROR_COMMANDS)
+    def test_error_records_same_bytes_as_stdlib(
+        self, capsys, monkeypatch, fail_complex, case, fmt
+    ):
+        argv, fails = ERROR_COMMANDS[case]
+        if fails is not None:
+            fail_complex(fails)
+        code, out, _ = _same_as_stdlib(
+            capsys, monkeypatch, [*argv, "--format", fmt]
+        )
+        assert code == cli.EXIT_PARTIAL
+        assert "error:" in out
+
+    def test_commands_cover_every_record_kind(self, capsys):
+        # The solve-all points of EMIT_COMMANDS hold every class, each
+        # solver method and branch, mirrored records and the singular
+        # record's empty defect.
+        seen = set()
+        for argv in EMIT_COMMANDS:
+            if argv[0].startswith("solve"):
+                for r in json.loads(run(capsys, *argv)[1])["records"]:
+                    meta = r["solver_branch_meta"]
+                    seen |= {
+                        r["class"], meta["method"], meta.get("branch"),
+                        ("mirrored", meta.get("mirrored", False)),
+                        ("defect", type(r["defect"]).__name__),
+                    }
+        assert {c.value for c in SolutionClass} <= seen
+        assert {
+            "singular_exact", "boundary_limit", "boundary_string",
+            "momentum_block", "scattering", "real", "narrow", "wide",
+            ("mirrored", True), ("defect", "str"), ("defect", "float"),
+        } <= seen
+
+    def test_general_writer_only_for_singular_record(
+        self, capsys, monkeypatch
+    ):
+        # The template writes every solved record but the singular one
+        # (no defect); the record dicts are built for that one only.
+        built = []
+        solution_record = cli._solution_record
+
+        def record(q, p, sol):
+            built.append(q.cls)
+            return solution_record(q, p, sol)
+
+        monkeypatch.setattr(cli, "_solution_record", record)
+        code, out, _ = run(capsys, "solve-all", "--n", "16", "--zeta", "0.6")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"count": 120, "failed": 0}
+        assert built == [SolutionClass.SINGULAR]
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            _solved(),
+            _solved(0.0 + 0j, -0.0 - 0.5j, 0.0),
+            _solved(meta={"note": 'a "quoted" \u03b6 \u2192 \u03bb\\n',
+                          "mirrored": True, "none": None, "q": -0.0}),
+            _solved(complex(math.nan, 0.0)),
+            _solved(complex(0.1, math.inf)),
+            _solved(residual=math.inf),
+            _solved(residual=-math.inf),
+            _solved(residual=None),
+            _solved(0, 1),
+            _solved(meta={}),
+            _solved(meta={"method": "m", "steps": [1, [2, 3]]}),
+            _solved(meta={"method": "m", "sub": {"a": 1.5}, "z": []}),
+            _solved(meta={"method": "m", "empty": {}}),
+            _solved(meta="plain text"),
+            NoRootOnBranch('no "root" for \u03b6 \u2192 \u03bb\u2082'),
+        ],
+        ids=[
+            "template", "zeros", "escaped-meta", "nan-lambda", "inf-lambda",
+            "inf-defect", "minus-inf-defect", "no-defect", "int-lambda",
+            "empty-meta", "nested-list-meta", "nested-dict-meta",
+            "empty-dict-in-meta", "str-meta", "error-message",
+        ],
+    )
+    def test_record_same_bytes_as_stdlib(self, outcome):
+        p = ChainParams(8, 0.6)
+        text, expected = _records_json(p, [outcome])
+        assert text == expected
+        text, expected = _records_json(p, [_solved(), outcome, _solved()])
+        assert text == expected
+
+    def test_no_records_same_bytes_as_stdlib(self):
+        text, expected = _records_json(ChainParams(8, 0.6), [])
+        assert text == expected
+
+    def test_huge_zeta_head_same_bytes_as_stdlib(self):
+        text, expected = _records_json(ChainParams(4, 709.78), [_solved()])
+        assert text == expected
 
     @pytest.mark.parametrize(
         "value",

@@ -9,6 +9,7 @@ from bethe_xxz.model import (
     HalfInt,
     NoRealSolution,
     NoRootInBracket,
+    OutsideSqueeze,
     QuantumPair,
     SolutionClass,
 )
@@ -93,6 +94,20 @@ class TestSolverFailure:
         with pytest.raises(NoRootInBracket) as info:
             _trace(8, 7, 1, [0.3])
         assert str(info.value) == "no root (at zeta=0.3)"
+
+    @pytest.mark.parametrize(
+        "tw1,tw2,window",
+        [(7, 3, "[pi/4, pi/2)"), (-7, -3, "(-pi/2, -pi/4]")],
+    )
+    def test_rapidity_rounded_to_the_edge_is_typed(self, tw1, tw2, window):
+        # At zeta = 1e-8 the squeezed lambda1 rounds to +-pi/2, outside the
+        # half-open window: a BetheError naming the sample, not an assert.
+        with pytest.raises(OutsideSqueeze) as info:
+            _trace(8, tw1, tw2, [1e-6, 1e-7, 1e-8])
+        lam1 = math.copysign(math.pi / 2.0, tw1)
+        assert str(info.value) == (
+            f"lambda1={lam1!r} outside {window} at zeta=1e-08"
+        )
 
 
 class TestFamilyRule:
