@@ -1,8 +1,10 @@
 """Command-line surface: enumerate, solve, verify, regime maps, traces.
 
-Every command emits machine-readable JSON ({params, records, summary}, the
-bytes of json.dumps with indent=2) or CSV with a fixed column order and
-17-significant-digit floats, so repeated runs are byte-identical.  Exit
+Every command but verify, which prints one result line, builds its
+records as rows (tuples of cells in its column order) and emits them as
+JSON ({params, records, summary}, the bytes of json.dumps with indent=2)
+or CSV with 17-significant-digit floats, so repeated runs are
+byte-identical.  Exit
 codes: 0 ok, 2 usage, 3 degenerate regime boundary, 4 partial solve
 failure, 5 incomplete spectrum; main maps the exceptions of every command
 to them.
@@ -19,6 +21,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dispatch import solve_quantum_pair, solve_quantum_pairs
 from .model import (
@@ -62,58 +65,73 @@ def _fmt(value):
 
 @functools.lru_cache(maxsize=None)
 def _member_encoder(level):
-    """C-encoder for a run of scalar members at this nesting level.
+    """C-encoder for the members of a flat dict at this nesting level.
 
-    It only ever sees scalars and empty containers, so it skips the
-    circular-reference bookkeeping.
+    It only ever sees scalars, so it skips the circular-reference
+    bookkeeping.
     """
     return json.JSONEncoder(
         separators=(",\n" + "  " * level, ": "), check_circular=False
     )
 
 
-def _json_indent2(value, level=0):
-    """json.dumps(value, indent=2), nested `level` deep; keys are str.
+def _json_value(value, level):
+    """json.dumps(value, indent=2) as it reads nested `level` deep.
 
-    With an indent, json uses its pure-Python encoder.  Here each run of
-    scalar members goes to the C encoder in one call, as a flat container
-    whose item separator carries the newline and the indent of its level.
-    Every non-empty container member is written by a recursive call.
+    With an indent, json uses its pure-Python encoder; the common cells
+    are written directly instead: a finite float or an int is its repr, a
+    str is escaped by the C string encoder, any other scalar needs no
+    indent, and a non-empty flat dict is one call of the C member encoder.
+    Any other container is json.dumps with its newlines indented (JSON
+    text holds no raw newline).
     """
-    if not isinstance(value, (dict, list, tuple)) or not value:
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
-    enc = _member_encoder(level + 1)
-    is_dict = isinstance(value, dict)
-    parts, run = [], {} if is_dict else []
-    for key, member in value.items() if is_dict else enumerate(value):
-        if isinstance(member, (dict, list, tuple)) and member:
-            if run:
-                parts.append(enc.encode(run)[1:-1])
-                run.clear()
-            head = enc.encode(key) + ": " if is_dict else ""
-            parts.append(head + _json_indent2(member, level + 1))
-        elif is_dict:
-            run[key] = member
-        else:
-            run.append(member)
-    if run:
-        parts.append(enc.encode(run)[1:-1])
-    opening, closing = "{}" if is_dict else "[]"
-    pad = "\n" + "  " * level
-    body = enc.item_separator.join(parts)
-    return opening + pad + "  " + body + pad + closing
+    if kind is dict and value and not any(
+        isinstance(member, (dict, list, tuple)) for member in value.values()
+    ):
+        members = _member_encoder(level + 1).encode(value)[1:-1]
+        pad = "\n" + "  " * level
+        return f"{{{pad}  {members}{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _emit(payload, columns, args):
-    """Write the {params, records, summary} payload as JSON or CSV."""
+def _json_record(columns, row):
+    """The JSON text of one row as a member of the payload's record list;
+    column names are plain ASCII, so they need no escaping."""
+    members = ",\n      ".join(
+        f'"{column}": {_json_value(cell, 3)}'
+        for column, cell in zip(columns, row)
+    )
+    return "{\n      " + members + "\n    }"
+
+
+def _json_payload(params, records, summary):
+    """json.dumps({params, records, summary}, indent=2) plus a newline,
+    from the text of each record."""
+    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return (
+        f'{{\n  "params": {_json_value(params, 1)},\n'
+        f'  "records": {body},\n'
+        f'  "summary": {_json_value(summary, 1)}\n}}\n'
+    )
+
+
+def _emit(params, columns, rows, summary, args):
+    """Write the rows, tuples of cells in column order, as JSON or CSV."""
     if args.format == "json":
-        text = _json_indent2(payload) + "\n"
+        records = [_json_record(columns, row) for row in rows]
+        text = _json_payload(params, records, summary)
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns)
-        writer.writeheader()
-        for record in payload["records"]:
-            writer.writerow({k: _fmt(record.get(k, "")) for k in columns})
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
         text = buf.getvalue()
     _write(text, args)
 
@@ -131,13 +149,8 @@ def _params_dict(p: ChainParams):
     return {"n": p.n, "zeta": p.zeta}
 
 
-PAIR_COLUMNS = ["n", "zeta", "j1", "j2", "class"]
-SOLUTION_COLUMNS = [
-    "n",
-    "zeta",
-    "j1",
-    "j2",
-    "class",
+PAIR_COLUMNS = ("n", "zeta", "j1", "j2", "class")
+SOLUTION_COLUMNS = PAIR_COLUMNS + (
     "status",
     "lambda1_re",
     "lambda1_im",
@@ -146,112 +159,57 @@ SOLUTION_COLUMNS = [
     "defect",
     "energy",
     "solver_branch_meta",
-]
-
-
-def _pair_record(q: QuantumPair, p: ChainParams):
-    return {
-        "n": p.n,
-        "zeta": p.zeta,
-        "j1": str(q.j1),
-        "j2": str(q.j2),
-        "class": q.cls.value,
-    }
+)
 
 
 def _solve_kwargs(tol):
     return {} if tol is None else {"defect_tol": tol}
 
 
-def _solution_record(q: QuantumPair, p: ChainParams, sol):
-    """The record of one pair from its RapidityPair or BetheError."""
-    record = _pair_record(q, p)
+def _solution_row(q: QuantumPair, p: ChainParams, sol):
+    """The row of one pair from its RapidityPair or BetheError."""
+    head = (p.n, p.zeta, str(q.j1), str(q.j2), q.cls.value)
     if isinstance(sol, BetheError):
-        record.update(
-            status=f"error:{type(sol).__name__}",
-            lambda1_re="",
-            lambda1_im="",
-            lambda2_re="",
-            lambda2_im="",
-            defect="",
-            energy="",
-            solver_branch_meta=str(sol),
-        )
-        return record
-    record.update(
-        status="ok",
-        lambda1_re=sol.lambda1.real,
-        lambda1_im=sol.lambda1.imag,
-        lambda2_re=sol.lambda2.real,
-        lambda2_im=sol.lambda2.imag,
-        defect=sol.residual if sol.residual is not None else "",
-        energy=magnon_energy(sol.lambda1, sol.lambda2, p),
-        solver_branch_meta=sol.branch_meta,
+        status = f"error:{type(sol).__name__}"
+        return (*head, status, "", "", "", "", "", "", str(sol))
+    l1, l2 = sol.lambda1, sol.lambda2
+    return (
+        *head, "ok", l1.real, l1.imag, l2.real, l2.imag,
+        "" if sol.residual is None else sol.residual,
+        magnon_energy(l1, l2, p), sol.branch_meta,
     )
-    return record
-
-
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _solution_json(q: QuantumPair, p: ChainParams, sol, head):
-    """The JSON text of one record, as json.dumps(indent=2) writes it as a
-    member of the payload's record list; `head` is the sector's text of
-    the record up to the value of j1.
+    """The JSON text of one record, as _json_record writes its row; `head`
+    is the sector's text of the record up to the value of j1.
 
-    A solved pair with six finite floats and a non-empty dict of scalars
-    for branch_meta fills a fixed template: labels and class are plain
-    text, floats are their repr (which json writes for finite floats), and
-    branch_meta goes through the member encoder of its level.  Any other
-    record (an error, the singular pair's empty defect, a NaN or infinity,
-    empty or nested metadata) is written from its _solution_record.
+    A solved pair with a defect and six finite floats fills a fixed
+    template: labels and class are plain text, floats are their repr, and
+    branch_meta is its _json_value.  Any other record (an error, the
+    singular pair's empty defect, a NaN or infinity) is written from its
+    row.
     """
-    if isinstance(sol, RapidityPair):
-        meta = sol.branch_meta
+    if isinstance(sol, RapidityPair) and sol.residual is not None:
         l1, l2 = sol.lambda1, sol.lambda2
         floats = (
             l1.real, l1.imag, l2.real, l2.imag, sol.residual,
             magnon_energy(l1, l2, p),
         )
-        if (
-            set(map(type, floats)) == {float}
-            # A sum of floats is finite only if each one is; one that
-            # overflows sends the record down the general path.
-            and math.isfinite(sum(floats))
-            and isinstance(meta, dict)
-            and meta
-            and _SCALAR_TYPES.issuperset(map(type, meta.values()))
-        ):
+        # A sum of floats is finite only if each one is; one that
+        # overflows sends the record down the general path.
+        if math.isfinite(sum(floats)):
             re1, im1, re2, im2, defect, energy = floats
-            members = _member_encoder(4).encode(meta)[1:-1]
             return (
                 f'{head}{q.j1}",\n      "j2": "{q.j2}",\n'
                 f'      "class": "{q.cls.value}",\n      "status": "ok",\n'
                 f'      "lambda1_re": {re1!r},\n      "lambda1_im": {im1!r},\n'
                 f'      "lambda2_re": {re2!r},\n      "lambda2_im": {im2!r},\n'
                 f'      "defect": {defect!r},\n      "energy": {energy!r},\n'
-                f'      "solver_branch_meta": {{\n        {members}\n      }}\n'
-                f"    }}"
+                f'      "solver_branch_meta": '
+                f"{_json_value(sol.branch_meta, 3)}\n    }}"
             )
-    return _json_indent2(_solution_record(q, p, sol), 2)
-
-
-def _solutions_json(p: ChainParams, pairs, outcomes, summary):
-    """json.dumps({params, records, summary}, indent=2) plus a newline,
-    with each record written in one pass from its pair and outcome."""
-    head = (
-        f'{{\n      "n": {json.dumps(p.n)},\n'
-        f'      "zeta": {json.dumps(p.zeta)},\n      "j1": "'
-    )
-    records = [
-        _solution_json(q, p, sol, head) for q, sol in zip(pairs, outcomes)
-    ]
-    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-    return (
-        f'{{\n  "params": {_json_indent2(_params_dict(p), 1)},\n'
-        f'  "records": {body},\n'
-        f'  "summary": {_json_indent2(summary, 1)}\n}}\n'
-    )
+    return _json_record(SOLUTION_COLUMNS, _solution_row(q, p, sol))
 
 
 def _emit_solutions(p, pairs, outcomes, args):
@@ -261,31 +219,28 @@ def _emit_solutions(p, pairs, outcomes, args):
         for q, sol in zip(pairs, outcomes)
         if isinstance(sol, BetheError)
     ]
+    params = _params_dict(p)
     summary = {"count": len(outcomes), "failed": len(failed)}
     if args.format == "json":
-        _write(_solutions_json(p, pairs, outcomes, summary), args)
-    else:
+        head = (
+            f'{{\n      "n": {_json_value(p.n, 3)},\n'
+            f'      "zeta": {_json_value(p.zeta, 3)},\n      "j1": "'
+        )
         records = [
-            _solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)
+            _solution_json(q, p, sol, head) for q, sol in zip(pairs, outcomes)
         ]
-        payload = {
-            "params": _params_dict(p),
-            "records": records,
-            "summary": summary,
-        }
-        _emit(payload, SOLUTION_COLUMNS, args)
+        _write(_json_payload(params, records, summary), args)
+    else:
+        rows = [_solution_row(q, p, sol) for q, sol in zip(pairs, outcomes)]
+        _emit(params, SOLUTION_COLUMNS, rows, summary, args)
     return failed
 
 
 def cmd_enumerate(args):
     p = ChainParams(args.n, args.zeta)
     pairs = enumerate_all(p)
-    payload = {
-        "params": _params_dict(p),
-        "records": [_pair_record(q, p) for q in pairs],
-        "summary": {"count": len(pairs)},
-    }
-    _emit(payload, PAIR_COLUMNS, args)
+    rows = [(p.n, p.zeta, str(q.j1), str(q.j2), q.cls.value) for q in pairs]
+    _emit(_params_dict(p), PAIR_COLUMNS, rows, {"count": len(rows)}, args)
     return EXIT_OK
 
 
@@ -376,7 +331,7 @@ def _parse_grid(text):
 def cmd_regime_map(args):
     ns = _parse_range(args.n_range)
     zetas = _parse_grid(args.zeta_grid)
-    records = []
+    rows = []
     disagreements = 0
     for n in ns:
         for zeta in zetas:
@@ -388,23 +343,12 @@ def cmd_regime_map(args):
             check = regime_label_from_inequalities(n, zeta)
             agree = label == check or label == "degenerate"
             disagreements += 0 if agree else 1
-            records.append(
-                {
-                    "n": n,
-                    "zeta": zeta,
-                    "tanh2": math.tanh(zeta / 2.0) ** 2,
-                    "regime_label": label,
-                    "inequality_label": check,
-                    "agree": agree,
-                }
-            )
-    payload = {
-        "params": {"n_range": args.n_range, "zeta_grid": args.zeta_grid},
-        "records": records,
-        "summary": {"count": len(records), "disagreements": disagreements},
-    }
-    columns = ["n", "zeta", "tanh2", "regime_label", "inequality_label", "agree"]
-    _emit(payload, columns, args)
+            tanh2 = math.tanh(zeta / 2.0) ** 2
+            rows.append((n, zeta, tanh2, label, check, agree))
+    params = {"n_range": args.n_range, "zeta_grid": args.zeta_grid}
+    summary = {"count": len(rows), "disagreements": disagreements}
+    columns = ("n", "zeta", "tanh2", "regime_label", "inequality_label", "agree")
+    _emit(params, columns, rows, summary, args)
     return EXIT_OK
 
 
@@ -412,21 +356,10 @@ def cmd_xxx_trace(args):
     schedule = [float(part) for part in args.zeta_schedule.split(",")]
     q = QuantumPair(args.j1, args.j2, SolutionClass.INFINITE_FAMILY_REAL)
     trace = trace_divergence(q, ChainParams(args.n, schedule[0]), schedule)
-    records = [
-        {
-            "zeta": s.zeta,
-            "lambda1": s.lambda1,
-            "lambda2": s.lambda2,
-            "lambda1_over_zeta": s.reduced,
-        }
-        for s in trace.samples
-    ]
-    payload = {
-        "params": {"n": args.n, "j1": str(args.j1), "j2": str(args.j2)},
-        "records": records,
-        "summary": {"count": len(records)},
-    }
-    _emit(payload, ["zeta", "lambda1", "lambda2", "lambda1_over_zeta"], args)
+    rows = [(s.zeta, s.lambda1, s.lambda2, s.reduced) for s in trace.samples]
+    params = {"n": args.n, "j1": str(args.j1), "j2": str(args.j2)}
+    columns = ("zeta", "lambda1", "lambda2", "lambda1_over_zeta")
+    _emit(params, columns, rows, {"count": len(rows)}, args)
     return EXIT_OK
 
 

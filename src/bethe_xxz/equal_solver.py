@@ -91,7 +91,7 @@ def solve_equal(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     log.debug("equal, J=%r: block k=%d, q=%r after %d steps",
               float(q.j1), k, root, steps)
     residual = bae_defect(l1, l2, p)
-    if residual > defect_tol:
+    if not residual <= defect_tol:
         raise ToleranceNotReached(
             f"defect {residual!r} above {defect_tol!r} for ({q.j1}, {q.j2})"
         )

@@ -163,11 +163,15 @@ def _lane(k, m, labels, p: ChainParams):
     if l1 > l2:
         l1, l2, p1, p2 = l2, l1, p2, p1
     residual = bae_defect(l1, l2, p)
-    polished = _polish_log_form(l1, l2, *labels, p)
-    polished_residual = bae_defect(*polished, p)
-    kept = polished_residual < residual
-    if kept:
-        (l1, l2), residual = polished, polished_residual
+    # A NaN root has a NaN defect, which _member refuses; the polish would
+    # fail on its floors.
+    kept = False
+    if not math.isnan(residual):
+        polished = _polish_log_form(l1, l2, *labels, p)
+        polished_residual = bae_defect(*polished, p)
+        kept = polished_residual < residual
+        if kept:
+            (l1, l2), residual = polished, polished_residual
     meta = {"method": "momentum_block", "branch": "scattering", "k": k, "q": q}
     return RapidityPair(
         complex(l1), complex(l2), residual, steps, meta, (p1, p2)
@@ -192,7 +196,7 @@ def _oriented(q: QuantumPair, p: ChainParams):
 
 def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
     """The lane's pair in q's label order, gated and mirrored back."""
-    if pair.residual > defect_tol:
+    if not pair.residual <= defect_tol:
         raise ToleranceNotReached(
             f"defect {pair.residual!r} above {defect_tol!r} for "
             f"({q.j1}, {q.j2})"

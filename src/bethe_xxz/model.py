@@ -289,7 +289,8 @@ def bae_defect(lambda1, lambda2, p):
     max(1, |LHS|, |RHS|): wide strings at strong anisotropy have both sides
     of order e^(N zeta), where the absolute difference measures nothing.
     A side that overflows also raises PoleEncountered: the pair then sits
-    numerically on a pole.
+    numerically on a pole.  A side that is NaN or infinite (a NaN or
+    infinite rapidity) gives a NaN defect, which no tolerance accepts.
     """
     hz = 0.5j * p.zeta
     defect = 0.0
@@ -307,13 +308,23 @@ def bae_defect(lambda1, lambda2, p):
             raise PoleEncountered(
                 "product-form side overflows (near a pole)"
             ) from None
-        scale = max(1.0, abs(lhs), abs(rhs))
-        defect = max(defect, abs(lhs - rhs) / scale)
+        term = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        if math.isnan(term):
+            # max would keep the defect it compares a NaN against.
+            return term
+        defect = max(defect, term)
     return defect
 
 
 def magnon_energy(lambda1, lambda2, p):
-    """Energy of the two-magnon state, sum of cos(p_j) minus 2 Delta."""
+    """Energy of the two-magnon state, sum of cos(p_j) minus 2 Delta.
+
+    e^(i p_j) is the phase sin(lam + i zeta/2)/sin(lam - i zeta/2).  Near
+    MAX_ZETA a bound state's phase overflows while its energy is finite;
+    then the sum is taken scaled: with L_j the log of the phase and s the
+    largest |Re L_j|, the terms are e^(+-L_j - s), and the sum is scaled
+    back by e^(s/2) twice.
+    """
     hz = 0.5j * p.zeta
     total = 0.0j
     for lam in (lambda1, lambda2):
@@ -325,7 +336,16 @@ def magnon_energy(lambda1, lambda2, p):
             return p.delta - 2.0 * p.delta
         phase = num / den
         total += 0.5 * (phase + 1.0 / phase)
-    return total.real - 2.0 * p.delta
+    if cmath.isfinite(total):
+        return total.real - 2.0 * p.delta
+    logs = [
+        cmath.log(cmath.sin(lam + hz)) - cmath.log(cmath.sin(lam - hz))
+        for lam in (lambda1, lambda2)
+    ]
+    s = max(abs(log.real) for log in logs)
+    scaled = sum(cmath.exp(log - s) + cmath.exp(-log - s) for log in logs)
+    half = math.exp(0.5 * s)
+    return 0.5 * scaled.real * half * half - 2.0 * p.delta
 
 
 # The momentum-block frame (Karbach & Mueller, arXiv:cond-mat/9809162).

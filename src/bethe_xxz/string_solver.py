@@ -136,7 +136,7 @@ def _bound_state(k, p: ChainParams, defect_tol):
         "%s bound state, k=%d: v=%r, log|eps|=%r after %d steps, residual %r",
         branch, k, v, log_eps, steps, residual,
     )
-    if residual > defect_tol:
+    if not residual <= defect_tol:
         raise ToleranceNotReached(
             f"defect {residual!r} above {defect_tol!r} in block k={k}"
         )

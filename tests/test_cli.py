@@ -1,4 +1,9 @@
 """Command-line surface: formats, exit codes, determinism."""
+import argparse
+import contextlib
+import csv
+import functools
+import io
 import json
 import math
 import os
@@ -530,6 +535,33 @@ class TestHugeZeta:
         assert json.loads(out)["summary"]["count"] == 28
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", [8, 16, 200])
+    def test_energies_finite_at_largest_zeta(self, capsys, n):
+        # The phase of a narrow string's rapidity overflows here, but its
+        # energy -2 Delta + c e^v + c e^-v, c = |cos(pi k / N)|, is finite.
+        # Next to 2 Delta ~ 1.8e308, a real pair's cos p1 + cos p2 is
+        # below rounding, and the singular pair's energy is -Delta.
+        code, out, _ = run(
+            capsys, "solve-all", "--n", str(n), "--zeta", "709.78"
+        )
+        assert code == 0
+        delta = ChainParams(n, 709.78).delta
+        for r in json.loads(out)["records"]:
+            meta = r["solver_branch_meta"]
+            if r["class"] == "singular":
+                expected = -delta
+            elif "v" in meta:
+                log_c = math.log(abs(math.cos(math.pi * meta["k"] / n)))
+                expected = (
+                    -2.0 * delta
+                    + math.exp(meta["v"] + log_c)
+                    + math.exp(-meta["v"] + log_c)
+                )
+            else:
+                expected = -2.0 * delta
+            assert r["status"] == "ok"
+            assert abs(r["energy"] - expected) <= 1e-12 * abs(expected)
+
     @pytest.mark.parametrize("zeta", ["100", "400", "700", "709"])
     def test_verify(self, capsys, zeta):
         code, out, err = run(capsys, "verify", "--n", "8", "--zeta", zeta)
@@ -695,49 +727,73 @@ ERROR_COMMANDS = {
 }
 
 
-def _stdlib_indent2(value):
-    return json.dumps(value, indent=2)
+def _reference_text(params, columns, rows, summary, fmt):
+    """The payload as the standard library writes it, from record dicts."""
+    if fmt == "json":
+        payload = {
+            "params": params,
+            "records": [dict(zip(columns, row)) for row in rows],
+            "summary": summary,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(
+            {column: cli._fmt(cell) for column, cell in zip(columns, row)}
+        )
+    return buf.getvalue()
 
 
-def _stdlib_payload(p, pairs, outcomes):
-    """The solve payload built record by record, as dicts."""
-    records = [
-        cli._solution_record(q, p, sol) for q, sol in zip(pairs, outcomes)
-    ]
-    failed = [f"({r['j1']},{r['j2']})" for r in records if r["status"] != "ok"]
-    payload = {
-        "params": {"n": p.n, "zeta": p.zeta},
-        "records": records,
-        "summary": {"count": len(records), "failed": len(failed)},
-    }
-    return payload, failed
+def _reference_emit(params, columns, rows, summary, args):
+    cli._write(_reference_text(params, columns, rows, summary, args.format),
+               args)
 
 
-def _stdlib_emit_solutions(p, pairs, outcomes, args):
-    """_emit_solutions from the record dicts; with _json_indent2 patched to
-    _stdlib_indent2, its JSON is the bytes of json.dumps(payload, indent=2)."""
-    payload, failed = _stdlib_payload(p, pairs, outcomes)
-    cli._emit(payload, cli.SOLUTION_COLUMNS, args)
+def _reference_emit_solutions(p, pairs, outcomes, args):
+    """_emit_solutions from the rows alone, through _reference_emit."""
+    rows = [cli._solution_row(q, p, sol) for q, sol in zip(pairs, outcomes)]
+    failed = [f"({row[2]},{row[3]})" for row in rows if row[5] != "ok"]
+    summary = {"count": len(rows), "failed": len(failed)}
+    _reference_emit(
+        {"n": p.n, "zeta": p.zeta}, cli.SOLUTION_COLUMNS, rows, summary, args
+    )
     return failed
 
 
-def _same_as_stdlib(capsys, monkeypatch, argv):
-    """Run argv, then again with the stdlib writers; the results match."""
+def _same_as_reference(capsys, monkeypatch, argv):
+    """Run argv, then again with the reference writers; the results match."""
     first = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_json_indent2", _stdlib_indent2)
-    monkeypatch.setattr(cli, "_emit_solutions", _stdlib_emit_solutions)
+    monkeypatch.setattr(cli, "_emit", _reference_emit)
+    monkeypatch.setattr(cli, "_emit_solutions", _reference_emit_solutions)
     assert run(capsys, *argv) == first
     return first
 
 
-def _records_json(p, outcomes):
-    """_solutions_json of outcomes, each for the pair (1/2, 3/2), and the
-    stdlib bytes of the same payload."""
+def _records_text(p, outcomes, fmt):
+    """What _emit_solutions and its reference write for outcomes, each for
+    the pair (1/2, 3/2), with the failed labels they return."""
     q = QuantumPair(HalfInt(1), HalfInt(3), SolutionClass.STANDARD_REAL)
     pairs = [q] * len(outcomes)
-    payload, _ = _stdlib_payload(p, pairs, outcomes)
-    text = cli._solutions_json(p, pairs, outcomes, payload["summary"])
-    return text, json.dumps(payload, indent=2) + "\n"
+    args = argparse.Namespace(format=fmt, output=None)
+    written = []
+    for emit in (cli._emit_solutions, _reference_emit_solutions):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            failed = emit(p, pairs, outcomes, args)
+        written.append((out.getvalue(), failed))
+    return written
+
+
+def _nested_dumps(value, level):
+    """value's text in json.dumps(indent=2) of value nested in `level`
+    lists."""
+    text = json.dumps(functools.reduce(lambda v, _: [v], range(level), value),
+                      indent=2)
+    head = "".join("[\n" + "  " * (i + 1) for i in range(level))
+    tail = "".join("\n" + "  " * i + "]" for i in reversed(range(level)))
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head):len(text) - len(tail)]
 
 
 def _solved(lambda1=0.25 + 0j, lambda2=0.75 + 0j, residual=1e-15, meta=None):
@@ -749,7 +805,7 @@ class TestEmit:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", EMIT_COMMANDS, ids=lambda a: a[0])
     def test_same_bytes_as_stdlib_indent(self, capsys, monkeypatch, argv, fmt):
-        _same_as_stdlib(capsys, monkeypatch, [*argv, "--format", fmt])
+        _same_as_reference(capsys, monkeypatch, [*argv, "--format", fmt])
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("case", ERROR_COMMANDS)
@@ -759,7 +815,7 @@ class TestEmit:
         argv, fails = ERROR_COMMANDS[case]
         if fails is not None:
             fail_complex(fails)
-        code, out, _ = _same_as_stdlib(
+        code, out, _ = _same_as_reference(
             capsys, monkeypatch, [*argv, "--format", fmt]
         )
         assert code == cli.EXIT_PARTIAL
@@ -789,16 +845,16 @@ class TestEmit:
     def test_general_writer_only_for_singular_record(
         self, capsys, monkeypatch
     ):
-        # The template writes every solved record but the singular one
-        # (no defect); the record dicts are built for that one only.
+        # The template writes every solved JSON record but the singular
+        # one (no defect); only that one is written from its row.
         built = []
-        solution_record = cli._solution_record
+        solution_row = cli._solution_row
 
-        def record(q, p, sol):
+        def row(q, p, sol):
             built.append(q.cls)
-            return solution_record(q, p, sol)
+            return solution_row(q, p, sol)
 
-        monkeypatch.setattr(cli, "_solution_record", record)
+        monkeypatch.setattr(cli, "_solution_row", row)
         code, out, _ = run(capsys, "solve-all", "--n", "16", "--zeta", "0.6")
         assert code == 0
         assert json.loads(out)["summary"] == {"count": 120, "failed": 0}
@@ -833,18 +889,23 @@ class TestEmit:
     )
     def test_record_same_bytes_as_stdlib(self, outcome):
         p = ChainParams(8, 0.6)
-        text, expected = _records_json(p, [outcome])
-        assert text == expected
-        text, expected = _records_json(p, [_solved(), outcome, _solved()])
-        assert text == expected
+        for fmt in ("json", "csv"):
+            written, reference = _records_text(p, [outcome], fmt)
+            assert written == reference
+            outcomes = [_solved(), outcome, _solved()]
+            written, reference = _records_text(p, outcomes, fmt)
+            assert written == reference
 
     def test_no_records_same_bytes_as_stdlib(self):
-        text, expected = _records_json(ChainParams(8, 0.6), [])
-        assert text == expected
+        for fmt in ("json", "csv"):
+            written, reference = _records_text(ChainParams(8, 0.6), [], fmt)
+            assert written == reference
 
     def test_huge_zeta_head_same_bytes_as_stdlib(self):
-        text, expected = _records_json(ChainParams(4, 709.78), [_solved()])
-        assert text == expected
+        p = ChainParams(4, 709.78)
+        for fmt in ("json", "csv"):
+            written, reference = _records_text(p, [_solved()], fmt)
+            assert written == reference
 
     @pytest.mark.parametrize(
         "value",
@@ -861,7 +922,38 @@ class TestEmit:
         ],
     )
     def test_edge_cases(self, value):
-        assert cli._json_indent2(value) == _stdlib_indent2(value)
+        for level in (0, 1, 3):
+            assert cli._json_value(value, level) == _nested_dumps(value, level)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"flat": 1, "s": 'q"\\\n\t ', "none": None, "nan": math.nan},
+            {2: "int key", 2.5: "float key", False: "bool key", None: "x"},
+            (1, 2.5, "t"),
+            "",
+            'q"\\\n\t  \u03b6\u2028',
+            -2**70,
+            0.1,
+            -0.0,
+            5e-324,
+            1.7976931348623157e308,
+            math.nan,
+            math.inf,
+            -math.inf,
+            True,
+            False,
+            None,
+        ],
+        ids=[
+            "flat-dict", "non-str-keys", "tuple", "empty-str", "escaped-str",
+            "big-int", "float", "minus-zero", "subnormal", "max-float", "nan",
+            "inf", "minus-inf", "true", "false", "none",
+        ],
+    )
+    def test_scalar_cells(self, value):
+        for level in (0, 1, 3):
+            assert cli._json_value(value, level) == _nested_dumps(value, level)
 
 
 # Every command but verify, at N = 8.

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bethe_xxz import counting
+from bethe_xxz import counting, equal_solver
 from bethe_xxz.counting import counting_w, tan2x_of_phi
 from bethe_xxz.equal_solver import DEFAULT_DEFECT_TOL, solve_equal
 from bethe_xxz.model import (
@@ -184,6 +184,15 @@ class TestErrors:
     def test_rejects_distinct_labels(self):
         q = QuantumPair(HalfInt(1), HalfInt(3), SolutionClass.STANDARD_REAL)
         with pytest.raises(ValueError):
+            solve_equal(q, P86)
+
+    def test_nan_root_is_refused(self, monkeypatch):
+        # A NaN root gives a NaN defect, which the gate refuses.
+        monkeypatch.setattr(
+            equal_solver, "_top_state_q", lambda k, p: (math.nan, 0)
+        )
+        q = QuantumPair(HalfInt(1), HalfInt(1), SolutionClass.EQUAL_QN_REAL)
+        with pytest.raises(ToleranceNotReached, match="defect nan above"):
             solve_equal(q, P86)
 
 

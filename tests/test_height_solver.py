@@ -192,6 +192,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_pair(q, P86)
 
+    def test_nan_root_is_refused(self, monkeypatch):
+        # A NaN root gives a NaN defect; the gate is written so that a NaN
+        # fails it, in the single solve and in the sector batch.
+        monkeypatch.setattr(
+            height_solver, "_scattering_root",
+            lambda a, m, p: (math.nan, 0, False),
+        )
+        q = QuantumPair(HalfInt(1), HalfInt(3), SolutionClass.STANDARD_REAL)
+        with pytest.raises(ToleranceNotReached, match="defect nan above"):
+            solve_pair(q, P86)
+        (out,) = solve_pairs([q], P86)
+        assert isinstance(out, ToleranceNotReached)
+
 
 # The contour path that solved these pairs before the momentum blocks did:
 # the height is bisected on the contour of one label, between two

@@ -1,6 +1,7 @@
 """Core types: half-integers, parameters, residuals, root finders."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,6 +148,20 @@ class TestBaeDefect:
         p = ChainParams(8, 5.0)
         assert bae_defect(0.3, 0.9, p) <= 2.0
 
+    @pytest.mark.parametrize(
+        "lam",
+        [complex(math.nan, 0.0), complex(0.1, math.nan),
+         complex(0.1, math.inf), complex(0.1, -math.inf)],
+        ids=["nan-re", "nan-im", "inf-im", "minus-inf-im"],
+    )
+    def test_non_finite_rapidity_fails_every_tolerance(self, lam):
+        # max() keeps the defect it compares a NaN against, so a NaN side
+        # used to read as an exact solution (defect 0.0).
+        for pair in ((lam, 0.3 + 0j), (0.3 + 0j, lam), (lam, lam)):
+            defect = bae_defect(*pair, P86)
+            assert math.isnan(defect)
+            assert not defect <= math.inf
+
 
 class TestLogResidual:
     def test_small_at_solution_with_labels(self):
@@ -173,6 +188,25 @@ class TestMagnonEnergy:
         lam = 0.4823020140562271 + 0.3101440108522319j
         e = magnon_energy(lam, lam.conjugate(), P86)
         assert isinstance(e, float)
+
+    @pytest.mark.parametrize("zeta", [709.78, MAX_ZETA])
+    @pytest.mark.parametrize("re", [0.3926990816987242, 0.05, 1.2])
+    def test_overflowing_phase_against_mpmath(self, re, zeta):
+        # A narrow string near MAX_ZETA: the phase
+        # sin(lam + i zeta/2)/sin(lam - i zeta/2) of one rapidity is past
+        # the float limit while the energy is finite.
+        p = ChainParams(8, zeta)
+        lam = complex(re, 0.5 * zeta)
+        with mpmath.workdps(40):
+            total = 0
+            for x in (mpmath.mpc(lam), mpmath.mpc(lam.conjugate())):
+                hz = mpmath.mpc(0, p.zeta) / 2
+                phase = mpmath.sin(x + hz) / mpmath.sin(x - hz)
+                total += (phase + 1 / phase) / 2
+            exact = float(total.real - 2 * mpmath.cosh(p.zeta))
+        e = magnon_energy(lam, lam.conjugate(), p)
+        assert math.isfinite(e)
+        assert abs(e - exact) <= 1e-12 * abs(exact)
 
 
 class TestBisectMonotone:

@@ -50,3 +50,18 @@ def test_package_exports_the_counting_objects():
     for name in LABEL_CHECKS:
         assert name in bethe_xxz.__all__
         assert getattr(bethe_xxz, name) is getattr(counting, name)
+
+
+def test_only_the_cli_writes_json_or_csv():
+    # The output formats sit behind one module.
+    importers = [
+        path.name
+        for path in _modules()
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Import)
+        and {alias.name.split(".")[0] for alias in node.names} & {"json", "csv"}
+        or isinstance(node, ast.ImportFrom)
+        and not node.level
+        and node.module.split(".")[0] in ("json", "csv")
+    ]
+    assert sorted(set(importers)) == ["cli.py"]
