@@ -336,7 +336,7 @@ def magnon_energy(lambda1, lambda2, p):
             return p.delta - 2.0 * p.delta
         phase = num / den
         total += 0.5 * (phase + 1.0 / phase)
-    if cmath.isfinite(total):
+    if math.isfinite(total.real):
         return total.real - 2.0 * p.delta
     logs = [
         cmath.log(cmath.sin(lam + hz)) - cmath.log(cmath.sin(lam - hz))
