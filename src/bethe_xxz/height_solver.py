@@ -179,19 +179,17 @@ def _lane(k, m, labels, p: ChainParams):
 
 
 def _oriented(q: QuantumPair, p: ChainParams):
-    """(mirrored, q, lane) for q after mirroring; lane is ((k, m), labels).
+    """(mirrored, lane) for q; lane is ((k, m), labels).
 
     k, m and the mirroring are q's block address, whatever its kind: a
     mirrored pair is solved as (-J1, -J2) and negated, which gives exactly
-    negated rapidities.  labels are the sorted labels.
+    negated rapidities.  labels are the sorted labels of the solved pair.
     """
     if q.j1.twice == q.j2.twice:
         raise ValueError("solve_pair requires distinct quantum numbers")
     k, _, m, mirrored = block_address(q, p)
-    if mirrored:
-        q = q.negated()
-    labels = (q.j1, q.j2) if q.j1.twice < q.j2.twice else (q.j2, q.j1)
-    return mirrored, q, ((k, m), labels)
+    lo, hi = (q.j1, q.j2) if q.j1.twice < q.j2.twice else (q.j2, q.j1)
+    return mirrored, ((k, m), (-hi, -lo) if mirrored else (lo, hi))
 
 
 def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
@@ -202,7 +200,8 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
             f"({q.j1}, {q.j2})"
         )
     l1, l2, momenta = pair.lambda1, pair.lambda2, pair.momenta
-    if q.j1.twice > q.j2.twice:
+    # The lane holds the labels sorted, and mirroring reverses their order.
+    if (q.j1.twice > q.j2.twice) != mirrored:
         l1, l2 = l2, l1
         if momenta is not None:
             momenta = momenta[::-1]
@@ -218,7 +217,7 @@ def _member(pair: RapidityPair, q: QuantumPair, mirrored, defect_tol):
 
 def solve_pair(q: QuantumPair, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """Solve a distinct-label real pair in its momentum block."""
-    mirrored, q, ((k, m), labels) = _oriented(q, p)
+    mirrored, ((k, m), labels) = _oriented(q, p)
     pair = _lane(k, m, labels, p)[0]
     return _member(pair, q, mirrored, defect_tol)
 
@@ -232,7 +231,7 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
     """
     members = [_oriented(q, p) for q in pairs]
     lanes = {}
-    for _, _, (key, labels) in members:
+    for _, (key, labels) in members:
         if key not in lanes:
             lanes[key] = attempt(_lane, *key, labels, p)
     solved = [out for out in lanes.values() if isinstance(out, tuple)]
@@ -246,7 +245,7 @@ def solve_pairs(pairs, p: ChainParams, defect_tol=DEFAULT_DEFECT_TOL):
         sum(kept for _, kept, _ in solved),
     )
     outcomes = []
-    for mirrored, q, (key, _) in members:
+    for q, (mirrored, (key, _)) in zip(pairs, members):
         out = lanes[key]
         if isinstance(out, tuple):
             out = attempt(_member, out[0], q, mirrored, defect_tol)

@@ -295,19 +295,21 @@ def bae_defect(lambda1, lambda2, p):
     hz = 0.5j * p.zeta
     defect = 0.0
     for lam, other in ((lambda1, lambda2), (lambda2, lambda1)):
-        den_one = cmath.sin(lam - hz)
-        den_two = cmath.sin(lam - other - 2 * hz)
-        if abs(den_one) < POLE_TOL or abs(den_two) < POLE_TOL:
-            raise PoleEncountered(
-                "product-form denominator vanishes (singular solution?)"
-            )
         try:
+            den_one = cmath.sin(lam - hz)
+            den_two = cmath.sin(lam - other - 2 * hz)
+            if abs(den_one) < POLE_TOL or abs(den_two) < POLE_TOL:
+                raise PoleEncountered(
+                    "product-form denominator vanishes (singular solution?)"
+                )
             lhs = (cmath.sin(lam + hz) / den_one) ** p.n
             rhs = cmath.sin(lam - other + 2 * hz) / den_two
         except OverflowError:
             raise PoleEncountered(
                 "product-form side overflows (near a pole)"
             ) from None
+        except ValueError:  # cmath.sin of an infinite real part
+            return math.nan
         term = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         if math.isnan(term):
             # max would keep the defect it compares a NaN against.
@@ -323,13 +325,16 @@ def magnon_energy(lambda1, lambda2, p):
     MAX_ZETA a bound state's phase overflows while its energy is finite;
     then the sum is taken scaled: with L_j the log of the phase and s the
     largest |Re L_j|, the terms are e^(+-L_j - s), and the sum is scaled
-    back by e^(s/2) twice.
+    back by e^(s/2) twice.  An overflowing or undefined sine gives NaN.
     """
     hz = 0.5j * p.zeta
     total = 0.0j
     for lam in (lambda1, lambda2):
-        num = cmath.sin(lam + hz)
-        den = cmath.sin(lam - hz)
+        try:
+            num = cmath.sin(lam + hz)
+            den = cmath.sin(lam - hz)
+        except (OverflowError, ValueError):
+            return math.nan
         if abs(den) < POLE_TOL or abs(num) < POLE_TOL:
             # Tightly bound pair at the pole: the pairwise-combined momenta
             # give cos(p1) + cos(p2) = Delta exactly.

@@ -2,11 +2,12 @@
 
 The two-string threshold F(N, zeta) decides which equal-quantum-number pairs
 are real (collapsed) and which are complex, and whether the edge pair
-(+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  One classifier
-states these rules for a single label set, in O(1); the enumeration applies
-it to every label set and emits exactly C(N, 2) labelled pairs for any
-non-degenerate parameter point.  block_address maps each labelled pair to
-the momentum block, level and kind of state that the solvers find for it.
+(+-(N-1)/2, +-(N-1)/2) turns into an extra two-string.  classify_regime
+evaluates F once and reads the regime off it: stable is F = +inf, and the
+collapse count and the cutoff follow from F in closed form.  One O(1)
+classifier per label set gives the enumeration exactly C(N, 2) labelled
+pairs at any non-degenerate point.  block_address maps each labelled pair
+to the momentum block, level and kind of state the solvers find for it.
 """
 from __future__ import annotations
 
@@ -45,46 +46,39 @@ def threshold_f(p: ChainParams):
 
 
 def is_stable(p: ChainParams):
-    """Stable regime: tanh^2(zeta/2) >= 1/(N-1)."""
-    return p.t ** 2 >= 1.0 / (p.n - 1)
+    """Stable regime: the threshold F is infinite."""
+    return math.isinf(threshold_f(p))
 
 
 def _check_boundary(p, f):
-    """Reject parameters whose threshold sits on a comparison half-integer."""
+    """Reject parameters whose F sits on a compared half-odd integer
+    ((N-1)/2 for the extra string, (N-1-2m)/2 for collapses); only the
+    nearest, floor(F) + 1/2, can be closer to F than 1/2."""
     if math.isinf(f):
         return
-    # All regime comparisons pit F against half-odd integers
-    # ((N-1)/2 for the extra string, (N-1-2m)/2 for collapses).
-    nearest = math.floor(f) + 0.5
-    for cand in (nearest - 1.0, nearest, nearest + 1.0):
-        if 0.0 < cand <= (p.n - 1) / 2.0 and abs(f - cand) < BOUNDARY_TOL:
-            raise BoundaryDegenerate(
-                f"threshold {f!r} lies on the regime boundary {cand!r}"
-            )
+    cand = math.floor(f) + 0.5
+    if cand <= (p.n - 1) / 2.0 and abs(f - cand) < BOUNDARY_TOL:
+        raise BoundaryDegenerate(
+            f"threshold {f!r} lies on the regime boundary {cand!r}"
+        )
 
 
 def has_extra_two_string(p: ChainParams):
-    """True when (N-1)/2 < F, i.e. the edge pair is complex.
-
-    The stable regime (F = +inf) always satisfies this, in agreement with the
-    closed-form inequality on tanh^2(zeta/2).
-    """
+    """True when (N-1)/2 < F (always when stable): the edge pair is complex."""
     return classify_regime(p).extra_two_string
+
+
+def _collapsed(n, f):
+    """m = max(0, ceil((n-3)/2 - F)), 0 for infinite F: the labels J =
+    (n-3)/2, (n-5)/2, ... above F, counted exactly as 2J > floor(2F)."""
+    if math.isinf(f):
+        return 0
+    return max(0, (n - 2 - math.floor(2.0 * f)) // 2)
 
 
 def collapse_count_value(n, zeta):
     """Number m of collapsed two-strings per sign for an n-site chain."""
-    f = threshold_value(n, zeta)
-    if math.isinf(f):
-        return 0
-    # m = number of half-odd integers J with F < J < (N-1)/2; it then
-    # automatically satisfies (N-3-2m)/2 < F < (N-1-2m)/2.
-    count = 0
-    j = (n - 1) / 2.0 - 1.0
-    while j > f:
-        count += 1
-        j -= 1.0
-    return count
+    return _collapsed(n, threshold_value(n, zeta))
 
 
 def collapse_count(p: ChainParams):
@@ -93,24 +87,17 @@ def collapse_count(p: ChainParams):
 
 
 def classify_regime(p: ChainParams):
-    """Full regime summary: stability, threshold, cutoff, collapse, extra."""
+    """The regime read off one evaluation of F: stable is F = +inf, and the
+    cutoff (top narrow-pair label) is (N-1)/2 with the extra string, else
+    (N-3-2m)/2."""
     f = threshold_f(p)
     _check_boundary(p, f)
-    stable = is_stable(p)
+    m = _collapsed(p.n, f)
     extra = (p.n - 1) / 2.0 < f
-    m = collapse_count_value(p.n, p.zeta)
-    edge = HalfInt(p.n - 1)  # (N-1)/2
-    if math.isinf(f) or extra:
-        cutoff = edge
-    else:
-        # Largest half-odd integer below F: the top narrow-pair label.
-        cutoff = HalfInt(2 * math.floor(f + 0.5) - 1)
-        if cutoff > edge:
-            cutoff = edge
     return RegimeReport(
-        stable=stable,
+        stable=math.isinf(f),
         threshold=f,
-        cutoff=cutoff,
+        cutoff=HalfInt(p.n - 1 if extra else p.n - 3 - 2 * m),
         m_collapsed=m,
         extra_two_string=extra,
     )

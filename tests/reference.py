@@ -10,6 +10,7 @@ import numpy as np
 
 from bethe_xxz.counting import DENOMINATOR_TOL, _contour_maps, _phase_parts
 from bethe_xxz.model import (
+    BoundaryDegenerate,
     ChainParams,
     DenominatorVanishes,
     HalfInt,
@@ -17,7 +18,11 @@ from bethe_xxz.model import (
     RegimeReport,
     SolutionClass,
 )
-from bethe_xxz.quantum_numbers import classify_regime
+from bethe_xxz.quantum_numbers import (
+    BOUNDARY_TOL,
+    classify_regime,
+    threshold_value,
+)
 
 # The two branches of the complex counting function Z1(w), narrow (w < 1)
 # and wide (w > 1), and the branch each complex class takes its labels on.
@@ -255,3 +260,49 @@ def enumerate_reference(p: ChainParams):
 
     pairs.sort(key=QuantumPair.key)
     return pairs
+
+
+def collapse_count_loop(n, zeta):
+    """Collapse count by walking down the labels (n-3)/2, (n-5)/2, ...
+    while they lie above F."""
+    f = threshold_value(n, zeta)
+    if math.isinf(f):
+        return 0
+    count = 0
+    j = (n - 1) / 2.0 - 1.0
+    while j > f:
+        count += 1
+        j -= 1.0
+    return count
+
+
+def stable_by_tanh(p: ChainParams):
+    """Stable regime by its closed-form inequality tanh^2(zeta/2) >= 1/(N-1)."""
+    return p.t ** 2 >= 1.0 / (p.n - 1)
+
+
+def regime_report_reference(p: ChainParams):
+    """The regime report with each field found by its own test.
+
+    The boundary guard tries the three half-odd integers around F, stability
+    is the tanh^2 inequality, the collapse count is the walking loop, and the
+    cutoff is the largest half-odd integer below F, clipped at the edge.
+    """
+    f = threshold_value(p.n, p.zeta)
+    if not math.isinf(f):
+        nearest = math.floor(f) + 0.5
+        for cand in (nearest - 1.0, nearest, nearest + 1.0):
+            if 0.0 < cand <= (p.n - 1) / 2.0 and abs(f - cand) < BOUNDARY_TOL:
+                raise BoundaryDegenerate(f"threshold {f!r} on {cand!r}")
+    extra = (p.n - 1) / 2.0 < f
+    edge = HalfInt(p.n - 1)
+    cutoff = edge
+    if not (math.isinf(f) or extra):
+        cutoff = min(HalfInt(2 * math.floor(f + 0.5) - 1), edge)
+    return RegimeReport(
+        stable=stable_by_tanh(p),
+        threshold=f,
+        cutoff=cutoff,
+        m_collapsed=collapse_count_loop(p.n, p.zeta),
+        extra_two_string=extra,
+    )

@@ -205,6 +205,25 @@ class TestErrors:
         (out,) = solve_pairs([q], P86)
         assert isinstance(out, ToleranceNotReached)
 
+    @pytest.mark.parametrize(
+        "twice,cls",
+        [((-3, -5), SolutionClass.STANDARD_REAL),
+         ((-5, -3), SolutionClass.STANDARD_REAL),
+         ((-5, 1), SolutionClass.STANDARD_REAL),
+         ((-5, -7), SolutionClass.INFINITE_FAMILY_REAL),
+         ((3, 5), SolutionClass.STANDARD_REAL),
+         ((5, 3), SolutionClass.STANDARD_REAL)],
+    )
+    def test_failure_names_the_callers_labels(self, twice, cls):
+        # A mirrored pair is solved as its mirror; the refusal must still
+        # name the labels it was asked for, in their order.
+        q = QuantumPair(HalfInt(twice[0]), HalfInt(twice[1]), cls)
+        want = re.escape(f"for ({q.j1}, {q.j2})")
+        with pytest.raises(ToleranceNotReached, match=want):
+            solve_pair(q, P86, defect_tol=0.0)
+        (out,) = solve_pairs([q], P86, defect_tol=0.0)
+        assert re.search(want, str(out))
+
 
 # The contour path that solved these pairs before the momentum blocks did:
 # the height is bisected on the contour of one label, between two

@@ -162,6 +162,20 @@ class TestBaeDefect:
             assert math.isnan(defect)
             assert not defect <= math.inf
 
+    @pytest.mark.parametrize("lam", [0.3 + 800j, 0.3 - 800j])
+    def test_overflowing_sine_is_a_pole(self, lam):
+        # sin(lam - i zeta/2) itself overflows, before any side is formed.
+        for pair in ((lam, 0.3 + 0j), (0.3 + 0j, lam)):
+            with pytest.raises(PoleEncountered, match="overflows"):
+                bae_defect(*pair, P86)
+
+    @pytest.mark.parametrize("re", [math.inf, -math.inf])
+    def test_infinite_real_part_gives_nan(self, re):
+        # cmath.sin raises ValueError on an infinite real part.
+        lam = complex(re, 0.0)
+        for pair in ((lam, 0.3 + 0j), (0.3 + 0j, lam)):
+            assert math.isnan(bae_defect(*pair, P86))
+
 
 class TestLogResidual:
     def test_small_at_solution_with_labels(self):
@@ -183,6 +197,16 @@ class TestMagnonEnergy:
         assert magnon_energy(0.3j, -0.3j, P86) == pytest.approx(
             -P86.delta, rel=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "lam", [0.3 + 800j, 0.3 - 800j, complex(math.inf, 0.0),
+                complex(-math.inf, 0.0)],
+        ids=["overflow", "minus-overflow", "inf-re", "minus-inf-re"],
+    )
+    def test_unevaluable_rapidity_gives_nan(self, lam):
+        # The energy is emitted with every record, so it never raises.
+        for pair in ((lam, 0.3 + 0j), (0.3 + 0j, lam)):
+            assert math.isnan(magnon_energy(*pair, P86))
 
     def test_conjugate_pair_energy_is_real_valued(self):
         lam = 0.4823020140562271 + 0.3101440108522319j

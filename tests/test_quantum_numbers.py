@@ -1,6 +1,8 @@
 """Regime classification, thresholds, and complete pair enumeration."""
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,9 @@ from bethe_xxz.model import (
     HalfInt,
     SolutionClass,
 )
+from bethe_xxz import quantum_numbers
 from bethe_xxz.quantum_numbers import (
+    block_address,
     classify_regime,
     collapse_count,
     collapse_count_value,
@@ -23,7 +27,12 @@ from bethe_xxz.quantum_numbers import (
     threshold_f,
     threshold_value,
 )
-from reference import enumerate_reference
+from reference import (
+    collapse_count_loop,
+    enumerate_reference,
+    regime_report_reference,
+    stable_by_tanh,
+)
 
 P86 = ChainParams(8, 0.6)
 
@@ -105,6 +114,163 @@ class TestRegimeReport:
                     classify_regime(ChainParams(n, zeta))
                 )
                 assert label == regime_label_from_inequalities(n, zeta)
+
+
+# The anisotropy range of the closed-form checks; ChainParams stops at 709.78.
+Z_LO, Z_HI = 1e-9, 700.0
+
+
+def _adjacent(pred, lo, hi):
+    """Adjacent floats lo < hi with pred(lo) false and pred(hi) true."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+
+
+def _zeta_grid(n, k=40, width=2):
+    """k log-uniform anisotropies plus every crossing of the regime.
+
+    The crossings are where F reaches a label (n-1)/2, (n-3)/2, ... and
+    where it turns infinite, each bisected to adjacent floats and widened
+    by width floats on either side.
+    """
+    def f(z):
+        return threshold_value(n, z)
+
+    top = _adjacent(lambda z: math.isinf(f(z)), Z_LO, Z_HI)
+    edges = list(top)
+    j = (n - 1) / 2.0
+    while j > f(Z_LO):
+        edges += _adjacent(lambda z: f(z) >= j, Z_LO, top[1])
+        j -= 1.0
+    grid = {Z_LO * (Z_HI / Z_LO) ** (i / (k - 1)) for i in range(k)}
+    for z in edges:
+        lo = hi = z
+        grid.add(z)
+        for _ in range(width):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            grid.update((lo, hi))
+    return sorted(z for z in grid if z <= Z_HI)
+
+
+def _report_or_refusal(classify, p):
+    try:
+        return classify(p)
+    except BoundaryDegenerate:
+        return BoundaryDegenerate
+
+
+class TestClosedForm:
+    """The regime report is read off one evaluation of F, and agrees with
+    the per-field tests of tests/reference.py."""
+
+    def test_collapse_count_matches_the_loop(self):
+        # Odd n included: collapse_count_value takes any n.
+        for n in range(3, 402):
+            for zeta in _zeta_grid(n):
+                assert collapse_count_value(n, zeta) == collapse_count_loop(
+                    n, zeta
+                ), (n, zeta)
+
+    def test_report_matches_the_reference(self):
+        refused = 0
+        for n in range(4, 401, 2):
+            for zeta in _zeta_grid(n):
+                p = ChainParams(n, zeta)
+                report = _report_or_refusal(classify_regime, p)
+                ref = _report_or_refusal(regime_report_reference, p)
+                if ref is BoundaryDegenerate:
+                    assert report is BoundaryDegenerate, (n, zeta)
+                    refused += 1
+                    continue
+                # stable follows F, where the tanh^2 test may differ by one
+                # rounding (test_stable_follows_the_threshold).
+                assert report.stable is math.isinf(report.threshold)
+                assert dataclasses.replace(report, stable=ref.stable) == ref
+        assert refused > 1000
+
+    def test_threshold_is_evaluated_once(self, monkeypatch):
+        calls = []
+        real = quantum_numbers.threshold_value
+
+        def counted(n, zeta):
+            calls.append((n, zeta))
+            return real(n, zeta)
+
+        monkeypatch.setattr(quantum_numbers, "threshold_value", counted)
+        for p in (P86, ChainParams(8, 2.0), ChainParams(64, 1e-3)):
+            calls.clear()
+            classify_regime(p)
+            assert calls == [(p.n, p.zeta)]
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(50, 0.2876820724517809), (50, 0.28768207245178096),
+                   (108, 0.19395302609220366), (2000, 0.044740005477515096)],
+    )
+    def test_stable_follows_the_threshold(self, n, zeta):
+        # One rounding apart, tanh^2(zeta/2) >= 1/(N-1) holds while the
+        # threshold's denominator 1 - (N-1) tanh^2 is still positive.  The
+        # report, is_stable and F agree: the chain is not stable here.
+        p = ChainParams(n, zeta)
+        report = classify_regime(p)
+        assert stable_by_tanh(p)
+        assert math.isfinite(report.threshold)
+        assert not report.stable and not is_stable(p)
+        assert report.extra_two_string and report.cutoff == HalfInt(n - 1)
+
+    def test_is_stable_reads_the_threshold(self):
+        for n in range(4, 401, 2):
+            for zeta in _zeta_grid(n, k=5):
+                p = ChainParams(n, zeta)
+                assert is_stable(p) is math.isinf(threshold_f(p)), (n, zeta)
+
+
+class TestBlockCriterion:
+    """F is the paper's statement of the top-state criterion the solvers
+    test: a label J in (N/4, N/2) has a real pair in its block k of
+    c = |cos(pi k / N)| exactly when N / (N - 2) > Delta / c."""
+
+    @pytest.mark.parametrize("n", [4, 8, 22, 64, 200, 400, 2000])
+    def test_threshold_is_the_arccos_form(self, n):
+        for i in range(60):
+            zeta = 1e-6 * 1e7 ** (i / 59)
+            p = ChainParams(n, zeta)
+            ratio = p.delta * (n - 2) / n
+            f = threshold_f(p)
+            if abs(ratio - 1.0) < 1e-9:
+                continue
+            if ratio >= 1.0:
+                assert math.isinf(f)
+                continue
+            arccos = n / (2.0 * math.pi) * math.acos(-ratio)
+            assert f == pytest.approx(arccos, rel=1e-13, abs=0.0), (n, zeta)
+
+    @staticmethod
+    def _check_top_states(p):
+        n = p.n
+        per_sign = Counter()
+        for q in enumerate_all(p):
+            if q.j1 != q.j2 or not n < 2 * abs(q.j1.twice) < 2 * (n - 1):
+                continue
+            k = block_address(q, p)[0]
+            h_zero = n / (n - 2) - p.delta / abs(math.cos(math.pi * k / n))
+            real = q.cls is SolutionClass.EQUAL_QN_REAL
+            assert real is (h_zero > 0.0), (q, p, h_zero)
+            per_sign[q.j1.twice > 0] += real
+        assert per_sign[True] == per_sign[False] == collapse_count(p), p
+
+    def test_collapsed_pairs_are_the_real_top_states(self):
+        for n in range(4, 65, 2):
+            for i in range(16):
+                self._check_top_states(ChainParams(n, 1e-4 * 1e4 ** (i / 15)))
+
+    @pytest.mark.parametrize(
+        "n,zeta", [(100, 0.01), (200, 1e-3), (400, 1e-3), (400, 0.05)]
+    )
+    def test_collapsed_pairs_at_large_n(self, n, zeta):
+        self._check_top_states(ChainParams(n, zeta))
 
 
 class TestEnumeration:

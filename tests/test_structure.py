@@ -7,6 +7,11 @@ from bethe_xxz import counting
 
 PACKAGE = Path(bethe_xxz.__file__).resolve().parent
 LABEL_CHECKS = ("height", "z1", "counting_w", "tan2x_of_w", "tan2x_of_phi")
+# The threshold F and what is read off it; every other module takes the
+# regime from classify_regime.
+THRESHOLD_READERS = (
+    "threshold_value", "threshold_f", "collapse_count_value", "is_stable",
+)
 
 
 def _modules():
@@ -65,3 +70,16 @@ def test_only_the_cli_writes_json_or_csv():
         and node.module.split(".")[0] in ("json", "csv")
     ]
     assert sorted(set(importers)) == ["cli.py"]
+
+
+def test_only_quantum_numbers_evaluates_the_threshold():
+    callers = [
+        f"{path.name}: {ast.unparse(node.func)}"
+        for path in _modules()
+        if path.name != "quantum_numbers.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in THRESHOLD_READERS
+             or getattr(node.func, "attr", None) in THRESHOLD_READERS)
+    ]
+    assert callers == []
