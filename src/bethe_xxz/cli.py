@@ -4,17 +4,20 @@ Every command but verify, which prints one result line, builds its
 records as rows (tuples of cells in its column order) and emits them as
 JSON ({params, records, summary}, the bytes of json.dumps with indent=2)
 or CSV with 17-significant-digit floats, so repeated runs are
-byte-identical.  Exit
-codes: 0 ok, 2 usage, 3 degenerate regime boundary, 4 partial solve
+byte-identical.  One writer streams the records, in order, to --output or
+stdout as they are made, so the document is never held whole; it opens
+the destination only after the command's solving is done, so a solver
+error writes nothing.
+Exit codes: 0 ok, 2 usage, 3 degenerate regime boundary, 4 partial solve
 failure, 5 incomplete spectrum; main maps the exceptions of every command
 to them.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import logging
 import math
@@ -63,46 +66,48 @@ def _fmt(value):
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _member_encoder(level):
-    """C-encoder for the members of a flat dict at this nesting level.
-
-    It only ever sees scalars, so it skips the circular-reference
-    bookkeeping.
-    """
-    return json.JSONEncoder(
-        separators=(",\n" + "  " * level, ": "), check_circular=False
-    )
-
-
 def _json_value(value, level):
     """json.dumps(value, indent=2) as it reads nested `level` deep.
 
     With an indent, json uses its pure-Python encoder; the common cells
     are written directly instead: a finite float or an int is its repr, a
-    str is escaped by the C string encoder, any other scalar needs no
-    indent, and a non-empty flat dict is one call of the C member encoder.
-    Any other container is json.dumps with its newlines indented (JSON
-    text holds no raw newline).
+    str is escaped by the C string encoder, and any other scalar needs no
+    indent.  A non-empty flat dict of str keys and such cells or bools is
+    its members joined at the level's indent.  Any other container is
+    json.dumps with its newlines indented (JSON text holds no raw newline).
     """
     kind = type(value)
     if kind is float and math.isfinite(value) or kind is int:
         return repr(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    if not isinstance(value, (dict, list, tuple)):
+    if kind is dict and value:
+        members = []
+        for key, cell in value.items():
+            if type(key) is not str:
+                break
+            cell_kind = type(cell)
+            if cell_kind is str:
+                text = encode_basestring_ascii(cell)
+            elif cell_kind is bool:
+                text = "true" if cell else "false"
+            elif cell_kind is int or (
+                cell_kind is float and math.isfinite(cell)
+            ):
+                text = repr(cell)
+            else:
+                break
+            members.append(f"{encode_basestring_ascii(key)}: {text}")
+        else:
+            pad = "\n" + "  " * level
+            return f"{{{pad}  " + f",{pad}  ".join(members) + f"{pad}}}"
+    elif not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
-    if kind is dict and value and not any(
-        isinstance(member, (dict, list, tuple)) for member in value.values()
-    ):
-        members = _member_encoder(level + 1).encode(value)[1:-1]
-        pad = "\n" + "  " * level
-        return f"{{{pad}  {members}{pad}}}"
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _json_record(columns, row):
-    """The JSON text of one row as a member of the payload's record list;
+    """The JSON text of one row as a member of the document's record list;
     column names are plain ASCII, so they need no escaping."""
     members = ",\n      ".join(
         f'"{column}": {_json_value(cell, 3)}'
@@ -111,38 +116,34 @@ def _json_record(columns, row):
     return "{\n      " + members + "\n    }"
 
 
-def _json_payload(params, records, summary):
-    """json.dumps({params, records, summary}, indent=2) plus a newline,
-    from the text of each record."""
-    body = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-    return (
-        f'{{\n  "params": {_json_value(params, 1)},\n'
-        f'  "records": {body},\n'
-        f'  "summary": {_json_value(summary, 1)}\n}}\n'
+def _emit(params, columns, rows, summary, args, records=None):
+    """Write the rows, tuples of cells in column order, as JSON or CSV to
+    --output, or to stdout when none is given; `records`, if given, are
+    the rows' JSON texts.
+
+    Each record is written as it is made, so the document is never held
+    whole.  JSON is the bytes of json.dumps({params, records, summary},
+    indent=2) plus a newline.
+    """
+    destination = (
+        open(args.output, "w") if args.output
+        else contextlib.nullcontext(sys.stdout)
     )
-
-
-def _emit(params, columns, rows, summary, args):
-    """Write the rows, tuples of cells in column order, as JSON or CSV."""
-    if args.format == "json":
-        records = [_json_record(columns, row) for row in rows]
-        text = _json_payload(params, records, summary)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
-        text = buf.getvalue()
-    _write(text, args)
-
-
-def _write(text, args):
-    """Write text to --output, or to stdout when none is given."""
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with destination as out:
+        if args.format == "csv":
+            writer = csv.writer(out)
+            writer.writerow(columns)
+            writer.writerows([_fmt(cell) for cell in row] for row in rows)
+            return
+        if records is None:
+            records = (_json_record(columns, row) for row in rows)
+        out.write(f'{{\n  "params": {_json_value(params, 1)},\n  "records": ')
+        separator = "[\n    "
+        for text in records:
+            out.write(separator + text)
+            separator = ",\n    "
+        out.write("[]" if separator == "[\n    " else "\n  ]")
+        out.write(f',\n  "summary": {_json_value(summary, 1)}\n}}\n')
 
 
 def _params_dict(p: ChainParams):
@@ -221,26 +222,25 @@ def _emit_solutions(p, pairs, outcomes, args):
     ]
     params = _params_dict(p)
     summary = {"count": len(outcomes), "failed": len(failed)}
+    rows = (_solution_row(q, p, sol) for q, sol in zip(pairs, outcomes))
+    records = None
     if args.format == "json":
         head = (
             f'{{\n      "n": {_json_value(p.n, 3)},\n'
             f'      "zeta": {_json_value(p.zeta, 3)},\n      "j1": "'
         )
-        records = [
+        records = (
             _solution_json(q, p, sol, head) for q, sol in zip(pairs, outcomes)
-        ]
-        _write(_json_payload(params, records, summary), args)
-    else:
-        rows = [_solution_row(q, p, sol) for q, sol in zip(pairs, outcomes)]
-        _emit(params, SOLUTION_COLUMNS, rows, summary, args)
+        )
+    _emit(params, SOLUTION_COLUMNS, rows, summary, args, records)
     return failed
 
 
 def cmd_enumerate(args):
     p = ChainParams(args.n, args.zeta)
     pairs = enumerate_all(p)
-    rows = [(p.n, p.zeta, str(q.j1), str(q.j2), q.cls.value) for q in pairs]
-    _emit(_params_dict(p), PAIR_COLUMNS, rows, {"count": len(rows)}, args)
+    rows = ((p.n, p.zeta, str(q.j1), str(q.j2), q.cls.value) for q in pairs)
+    _emit(_params_dict(p), PAIR_COLUMNS, rows, {"count": len(pairs)}, args)
     return EXIT_OK
 
 

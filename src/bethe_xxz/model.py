@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, total_ordering
 
 POLE_TOL = 1e-14
@@ -96,6 +95,11 @@ class HalfInt:
 
     @classmethod
     def from_fraction(cls, value):
+        # fractions (and the decimal module it loads) is imported here, not
+        # at module level: only label parsing needs it, and every command
+        # imports this module.
+        from fractions import Fraction
+
         frac = Fraction(value)
         if frac.denominator not in (1, 2):
             raise ValueError(f"not a half-integer: {value!r}")
@@ -104,6 +108,8 @@ class HalfInt:
     @classmethod
     def parse(cls, text):
         """Parse strings like '7/2', '-5/2' or '3'."""
+        from fractions import Fraction
+
         return cls.from_fraction(Fraction(text.strip()))
 
     def __float__(self):

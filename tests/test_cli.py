@@ -10,12 +10,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import bethe_xxz
 from bethe_xxz import cli, quantum_numbers
 from bethe_xxz.cli import main
+from bethe_xxz.dispatch import solve_quantum_pairs
 from bethe_xxz.model import (
     ChainParams,
     HalfInt,
@@ -481,6 +483,16 @@ EXIT_CASES = {
          "--output", "{tmp}/missing/pairs.json"], 2,
         "error: [Errno 2] No such file or directory",
     ),
+    "unwritable-output-solve-all": (
+        ["solve-all", "--n", "8", "--zeta", "0.6",
+         "--output", "{tmp}/missing/records.json"], 2,
+        "error: [Errno 2] No such file or directory",
+    ),
+    "unwritable-output-csv": (
+        ["enumerate", "--n", "8", "--zeta", "0.6", "--format", "csv",
+         "--output", "{tmp}/missing/pairs.csv"], 2,
+        "error: [Errno 2] No such file or directory",
+    ),
     "degenerate-boundary": (
         ["enumerate", "--n", "12", "--zeta", repr(_degenerate_zeta())], 3,
         "degenerate boundary: ",
@@ -523,6 +535,10 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith(prefix)
+        if any("{tmp}" in arg for arg in EXIT_CASES[case][0]):
+            # An unwritable --output: nothing is written anywhere.
+            assert proc.stdout == ""
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestHugeZeta:
@@ -747,8 +763,13 @@ def _reference_text(params, columns, rows, summary, fmt):
 
 
 def _reference_emit(params, columns, rows, summary, args):
-    cli._write(_reference_text(params, columns, rows, summary, args.format),
-               args)
+    """The reference payload, written whole to --output or stdout."""
+    text = _reference_text(params, columns, rows, summary, args.format)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _reference_emit_solutions(p, pairs, outcomes, args):
@@ -956,6 +977,101 @@ class TestEmit:
             assert cli._json_value(value, level) == _nested_dumps(value, level)
 
 
+@functools.lru_cache(maxsize=None)
+def _solved_sector(n, zeta):
+    p = ChainParams(n, zeta)
+    pairs = enumerate_all(p)
+    return p, pairs, solve_quantum_pairs(pairs, p)
+
+
+def _traced_peak(call):
+    """The peak of the memory that call() allocates, in bytes, traced by
+    tracemalloc above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _to_destination(call, path, to_file):
+    """The traced peak of call(output), which writes to --output `path` or,
+    given None, to stdout redirected into `path`; and the bytes written."""
+    if to_file:
+        peak = _traced_peak(lambda: call(str(path)))
+    else:
+        with open(path, "w") as handle, contextlib.redirect_stdout(handle):
+            peak = _traced_peak(lambda: call(None))
+    return peak, path.read_bytes()
+
+
+# The sectors of the memory tests: csv.writer holds a fixed record buffer
+# of 32 768 UCS-4 characters (128 KiB), so its outputs are taken large
+# enough that this buffer is well under a quarter of them.
+STREAM_SECTORS = {"json": (64, 0.3), "csv": (128, 0.3)}
+STREAM_ENUMERATE = {"json": "64", "csv": "200"}
+
+
+class TestStreaming:
+    """Records go to the destination as they are made: the emit layer's
+    memory does not grow with the document."""
+
+    @pytest.mark.parametrize(
+        "to_file", [True, False], ids=["output", "stdout"]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_emit_solutions_peak_below_quarter_of_output(
+        self, tmp_path, fmt, to_file
+    ):
+        p, pairs, outcomes = _solved_sector(*STREAM_SECTORS[fmt])
+
+        def emit(output):
+            args = argparse.Namespace(format=fmt, output=output)
+            assert cli._emit_solutions(p, pairs, outcomes, args) == []
+
+        peak, data = _to_destination(emit, tmp_path / "records", to_file)
+        assert peak < len(data) / 4
+
+    @pytest.mark.parametrize(
+        "to_file", [True, False], ids=["output", "stdout"]
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_enumerate_emit_peak_below_quarter_of_output(
+        self, monkeypatch, tmp_path, fmt, to_file
+    ):
+        emit = cli._emit
+        peaks = []
+        monkeypatch.setattr(
+            cli, "_emit",
+            lambda *a: peaks.append(_traced_peak(lambda: emit(*a))),
+        )
+        argv = ["enumerate", "--n", STREAM_ENUMERATE[fmt], "--zeta", "0.3",
+                "--format", fmt]
+
+        def run_enumerate(output):
+            extra = [] if output is None else ["--output", output]
+            assert main([*argv, *extra]) == 0
+
+        _, data = _to_destination(run_enumerate, tmp_path / "pairs", to_file)
+        (peak,) = peaks
+        assert peak < len(data) / 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", EMIT_COMMANDS, ids=lambda a: a[0])
+    def test_output_same_bytes_as_stdout(self, capsys, tmp_path, argv, fmt):
+        argv = [*argv, "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        path = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode()
+
+
 # Every command but verify, at N = 8.
 _COMMANDS_BUT_VERIFY = [
     "enumerate --n 8 --zeta 0.6",
@@ -966,10 +1082,10 @@ _COMMANDS_BUT_VERIFY = [
 ]
 
 
-def _fresh_run(argvs):
+def _fresh_run(argvs, modules=("numpy", "mpmath", "scipy")):
     """cli.main on each argv in one fresh interpreter that imported the
-    package and the CLI: the exit codes, and which of numpy, mpmath and
-    scipy the interpreter then holds."""
+    package and the CLI: the exit codes, and which of `modules` the
+    interpreter then holds."""
     code = (
         "import contextlib, io, json, sys\n"
         "import bethe_xxz, bethe_xxz.cli\n"
@@ -977,7 +1093,7 @@ def _fresh_run(argvs):
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(bethe_xxz.cli.main(argv.split()))\n"
-        "loaded = {'numpy', 'mpmath', 'scipy'} & set(sys.modules)\n"
+        f"loaded = {set(modules)!r} & set(sys.modules)\n"
         "print(json.dumps([codes, sorted(loaded)]))\n"
     )
     done = subprocess.run(
@@ -1002,6 +1118,17 @@ class TestImports:
 
     def test_verify_loads_numpy(self):
         assert _fresh_run(["verify --n 8 --zeta 0.6"]) == [[0], ["numpy"]]
+
+    def test_only_label_parsing_loads_fractions(self):
+        # fractions, and the decimal module it imports, serve only
+        # HalfInt.parse: enumerate must not pay their import time.
+        modules = ("fractions", "decimal")
+        assert _fresh_run(["enumerate --n 8 --zeta 0.6"], modules) == [[0], []]
+        codes, loaded = _fresh_run(
+            ["solve --n 8 --zeta 0.6 --j1 5/2 --j2 7/2"], modules
+        )
+        assert codes == [0]
+        assert "fractions" in loaded
 
     def test_every_export_resolves(self):
         for name in bethe_xxz.__all__:
